@@ -128,9 +128,10 @@ func intersect(a, b Interval) Interval {
 }
 
 // State is the feasibility state of one path prefix. It is not safe for
-// concurrent use; the extractor clones it per branch edge, exactly like the
-// symbolic environment. A nil *State is the Fast tier: every method is a
-// no-op and Contradiction reports false.
+// concurrent use. The extractor backtracks over one State per function
+// walk, exactly like the symbolic environment: Mark before a branch edge,
+// Undo after it. A nil *State is the Fast tier: every method is a no-op and
+// Contradiction reports false.
 type State struct {
 	tier Tier
 	// iv and ne are keyed by class representative (the term rendering
@@ -140,14 +141,42 @@ type State struct {
 	// eq holds the Strict tier's union-find parent pointers over term
 	// renderings; absent keys are their own class.
 	eq map[string]string
-	// budget bounds Strict-tier work; shared across clones deliberately, so
-	// the whole function's feasibility work — not each path's — is bounded.
+	// trail records every write to iv, ne and eq, so Undo can roll them
+	// back to a Mark.
+	trail []undo
+	// budget bounds Strict-tier work across the whole function walk — not
+	// each path — so Undo deliberately leaves it spent.
 	budget *guard.Budget
-	// contraN counts contradiction events, shared across clones of one
-	// function's root state.
+	// contraN counts contradiction events over the whole walk; Undo leaves
+	// it as is.
 	contraN *int64
 	contra  bool
 	frozen  bool
+}
+
+// undo is one trail entry: the prior state of one map slot.
+type undo struct {
+	op  undoOp
+	key string
+	iv  Interval       // undoIv: the prior interval, if had
+	had bool           // undoIv: whether iv[key] was present
+	set map[int64]bool // undoNe: the prior set (nil: absent)
+	n   int64          // undoNeAdd: the value added to ne[key]
+}
+
+type undoOp uint8
+
+const (
+	undoIv    undoOp = iota // iv[key] was written or deleted
+	undoNe                  // ne[key] was created or deleted
+	undoNeAdd               // n was added to the set ne[key]
+	undoEq                  // eq[key] was set; it was absent before
+)
+
+// Mark is a point on a State's undo trail, with the flags Undo restores.
+type Mark struct {
+	n              int
+	contra, frozen bool
 }
 
 // New returns the root feasibility state for one function walk, or nil for
@@ -173,40 +202,90 @@ func New(tier Tier, budget *guard.Budget) *State {
 	return s
 }
 
-// Clone returns an independently-mutable copy sharing the function-level
-// budget and contradiction tally.
-func (s *State) Clone() *State {
+// Mark returns the current point on the undo trail.
+func (s *State) Mark() Mark {
 	if s == nil {
-		return nil
+		return Mark{}
 	}
-	c := &State{tier: s.tier, budget: s.budget, contraN: s.contraN, contra: s.contra, frozen: s.frozen}
-	c.iv = make(map[string]Interval, len(s.iv))
-	for k, v := range s.iv {
-		c.iv[k] = v
+	return Mark{n: len(s.trail), contra: s.contra, frozen: s.frozen}
+}
+
+// Undo restores the state to m: its interval, disequality and equality
+// facts and its contradiction and frozen flags. The step budget and the
+// contradiction tally stay as spent. Marks must be undone in LIFO order.
+func (s *State) Undo(m Mark) {
+	if s == nil {
+		return
 	}
-	c.ne = make(map[string]map[int64]bool, len(s.ne))
-	for k, set := range s.ne {
-		cp := make(map[int64]bool, len(set))
-		for n := range set {
-			cp[n] = true
+	for i := len(s.trail) - 1; i >= m.n; i-- {
+		u := &s.trail[i]
+		switch u.op {
+		case undoIv:
+			if u.had {
+				s.iv[u.key] = u.iv
+			} else {
+				delete(s.iv, u.key)
+			}
+		case undoNe:
+			if u.set != nil {
+				s.ne[u.key] = u.set
+			} else {
+				delete(s.ne, u.key)
+			}
+		case undoNeAdd:
+			delete(s.ne[u.key], u.n)
+		case undoEq:
+			delete(s.eq, u.key)
 		}
-		c.ne[k] = cp
 	}
-	if s.eq != nil {
-		c.eq = make(map[string]string, len(s.eq))
-		for k, v := range s.eq {
-			c.eq[k] = v
-		}
+	clear(s.trail[m.n:])
+	s.trail = s.trail[:m.n]
+	s.contra, s.frozen = m.contra, m.frozen
+}
+
+// setIv writes iv[key], trailing the prior value.
+func (s *State) setIv(key string, iv Interval) {
+	old, had := s.iv[key]
+	s.trail = append(s.trail, undo{op: undoIv, key: key, iv: old, had: had})
+	s.iv[key] = iv
+}
+
+// deleteIv removes iv[key], trailing the prior value.
+func (s *State) deleteIv(key string) {
+	if old, had := s.iv[key]; had {
+		s.trail = append(s.trail, undo{op: undoIv, key: key, iv: old, had: true})
+		delete(s.iv, key)
 	}
-	return c
+}
+
+// addNe adds n to the disequality set of key, trailing the change.
+func (s *State) addNe(key string, n int64) {
+	set := s.ne[key]
+	if set == nil {
+		set = map[int64]bool{}
+		s.trail = append(s.trail, undo{op: undoNe, key: key})
+		s.ne[key] = set
+	}
+	if !set[n] {
+		s.trail = append(s.trail, undo{op: undoNeAdd, key: key, n: n})
+		set[n] = true
+	}
+}
+
+// deleteNe removes the disequality set of key, trailing it.
+func (s *State) deleteNe(key string) {
+	if set := s.ne[key]; set != nil {
+		s.trail = append(s.trail, undo{op: undoNe, key: key, set: set})
+		delete(s.ne, key)
+	}
 }
 
 // Contradiction reports whether the accumulated conditions are mutually
 // unsatisfiable — the path prefix can never execute.
 func (s *State) Contradiction() bool { return s != nil && s.contra }
 
-// Contradictions returns the number of contradiction events recorded across
-// this state and every clone sharing its root.
+// Contradictions returns the number of contradiction events recorded over
+// the whole walk, including those on branches since undone.
 func (s *State) Contradictions() int64 {
 	if s == nil || s.contraN == nil {
 		return 0
@@ -354,10 +433,7 @@ func (s *State) assertConst(term, op string, k int64) {
 			s.contradict()
 			return
 		}
-		if s.ne[rep] == nil {
-			s.ne[rep] = map[int64]bool{}
-		}
-		s.ne[rep][k] = true
+		s.addNe(rep, k)
 		return
 	case "<":
 		if k == math.MinInt64 {
@@ -386,34 +462,24 @@ func (s *State) assertConst(term, op string, k int64) {
 		s.contradict()
 		return
 	}
-	s.iv[rep] = iv
+	s.setIv(rep, iv)
 }
 
 // find returns the constraint-class representative of a term. Outside the
-// Strict tier every term is its own class.
+// Strict tier every term is its own class. There is no path compression: a
+// lookup never writes, so Undo only has to reverse unify's parent links.
+// Chains are at most as long as the number of equalities on one path.
 func (s *State) find(term string) string {
 	if s.eq == nil {
 		return term
 	}
-	root := term
 	for {
-		p, ok := s.eq[root]
+		p, ok := s.eq[term]
 		if !ok {
-			break
+			return term
 		}
-		root = p
+		term = p
 	}
-	// Path compression keeps repeated lookups cheap; it never changes which
-	// representative is found, so determinism is unaffected.
-	for term != root {
-		next, ok := s.eq[term]
-		if !ok {
-			break
-		}
-		s.eq[term] = root
-		term = next
-	}
-	return root
 }
 
 // unify merges the constraint classes of two terms (Strict tier): their
@@ -428,17 +494,15 @@ func (s *State) unify(a, b string) {
 	if rb < ra {
 		ra, rb = rb, ra
 	}
+	s.trail = append(s.trail, undo{op: undoEq, key: rb})
 	s.eq[rb] = ra
 	iv := intersect(s.iv[ra], s.iv[rb])
-	delete(s.iv, rb)
+	s.deleteIv(rb)
 	if neb := s.ne[rb]; neb != nil {
-		if s.ne[ra] == nil {
-			s.ne[ra] = map[int64]bool{}
-		}
 		for n := range neb {
-			s.ne[ra][n] = true
+			s.addNe(ra, n)
 		}
-		delete(s.ne, rb)
+		s.deleteNe(rb)
 	}
 	if iv.Empty() {
 		s.contradict()
@@ -448,7 +512,7 @@ func (s *State) unify(a, b string) {
 		s.contradict()
 		return
 	}
-	s.iv[ra] = iv
+	s.setIv(ra, iv)
 }
 
 func isCmp(op string) bool {

@@ -2,6 +2,8 @@ package feas
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"pallas/internal/guard"
@@ -51,7 +53,8 @@ func TestFastTierIsNil(t *testing.T) {
 	}
 	// Every method must be a safe no-op on nil.
 	s.Assert(cmpv(">", x(), k(3)), true)
-	if s.Contradiction() || s.Clone() != nil || s.Contradictions() != 0 {
+	s.Undo(s.Mark())
+	if s.Contradiction() || s.Contradictions() != 0 {
 		t.Fatal("nil state must stay inert")
 	}
 }
@@ -260,25 +263,33 @@ func TestStrictEqualityUnification(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	root := New(Balanced, nil)
-	root.Assert(cmpv(">", x(), k(3)), true)
-	a := root.Clone()
-	b := root.Clone()
-	a.Assert(cmpv("<", x(), k(2)), true)
-	if !a.Contradiction() {
-		t.Fatal("clone a should contradict")
+// TestUndoIsolation checks sibling independence through the trail: a
+// contradiction on one branch is gone once the branch is undone, so the
+// next sibling starts from the parent's facts.
+func TestUndoIsolation(t *testing.T) {
+	s := New(Balanced, nil)
+	s.Assert(cmpv(">", x(), k(3)), true)
+	m := s.Mark()
+	s.Assert(cmpv("<", x(), k(2)), true)
+	if !s.Contradiction() {
+		t.Fatal("branch a should contradict")
 	}
-	if b.Contradiction() || root.Contradiction() {
-		t.Fatal("contradiction in one clone must not leak to siblings")
+	s.Undo(m)
+	if s.Contradiction() {
+		t.Fatal("contradiction in one branch must not leak to siblings")
 	}
-	b.Assert(cmpv("<", x(), k(10)), true)
-	if b.Contradiction() {
-		t.Fatal("clone b is feasible")
+	s.Assert(cmpv("<", x(), k(10)), true)
+	if s.Contradiction() {
+		t.Fatal("branch b is feasible")
 	}
-	// The contradiction tally is shared across the family.
-	if root.Contradictions() != 1 {
-		t.Fatalf("family tally = %d, want 1", root.Contradictions())
+	// The parent's x > 3 survived branch a's undo.
+	s.Assert(cmpv("<", x(), k(4)), true)
+	if !s.Contradiction() {
+		t.Fatal("undo lost the parent's x > 3")
+	}
+	// The contradiction tally counts every branch's events.
+	if s.Contradictions() != 2 {
+		t.Fatalf("walk tally = %d, want 2", s.Contradictions())
 	}
 }
 
@@ -293,5 +304,99 @@ func TestStrictBudgetFreezesLearning(t *testing.T) {
 	s.Assert(cmpv("<", x(), k(2)), true)
 	if s.Contradiction() {
 		t.Fatal("a frozen state must stop learning instead of contradicting")
+	}
+}
+
+// snapshot is a deep copy of a State's facts and flags.
+type snapshot struct {
+	iv             map[string]Interval
+	ne             map[string]map[int64]bool
+	eq             map[string]string
+	contra, frozen bool
+}
+
+func snap(s *State) snapshot {
+	c := snapshot{iv: map[string]Interval{}, ne: map[string]map[int64]bool{}, eq: map[string]string{}, contra: s.contra, frozen: s.frozen}
+	for k, v := range s.iv {
+		c.iv[k] = v
+	}
+	for k, set := range s.ne {
+		cp := map[int64]bool{}
+		for n := range set {
+			cp[n] = true
+		}
+		c.ne[k] = cp
+	}
+	for k, v := range s.eq {
+		c.eq[k] = v
+	}
+	return c
+}
+
+// randomCond builds a condition over a few stable terms, mixing
+// comparisons against constants, term-term comparisons (unified at strict),
+// truthiness, negation and &&/||.
+func randomCond(rng *rand.Rand, depth int) *sym.Value {
+	terms := []*sym.Value{x(), y(), sym.NewSym("z"), cmpv("+", x(), k(1))}
+	term := func() *sym.Value { return terms[rng.Intn(len(terms))] }
+	ops := []string{"==", "!=", "<", "<=", ">", ">="}
+	switch r := rng.Intn(8); {
+	case r < 3:
+		return cmpv(ops[rng.Intn(len(ops))], term(), k(int64(rng.Intn(7)-1)))
+	case r < 5:
+		return cmpv(ops[rng.Intn(len(ops))], term(), term())
+	case r < 6:
+		return term()
+	case depth < 2 && r < 7:
+		return &sym.Value{Kind: sym.Expr, Op: "!", Args: []*sym.Value{randomCond(rng, depth+1)}}
+	case depth < 2:
+		op := "&&"
+		if rng.Intn(2) == 0 {
+			op = "||"
+		}
+		return cmpv(op, randomCond(rng, depth+1), randomCond(rng, depth+1))
+	}
+	return cmpv(">", term(), k(2))
+}
+
+// TestUndoRestoresMark is the trail's property test: random nested Assert
+// sequences at balanced and strict (with budgets small enough to freeze
+// mid-sequence), each undone to its Mark, leave the State equal to a deep
+// snapshot taken at the mark — intervals, disequality sets, equality
+// classes, contra and frozen.
+func TestUndoRestoresMark(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tier := range []Tier{Balanced, Strict} {
+		for trial := 0; trial < 300; trial++ {
+			var budget *guard.Budget
+			if tier == Strict && trial%3 == 0 {
+				budget = guard.NewBudget(nil, guard.Limits{MaxSteps: int64(5 + rng.Intn(60))})
+			}
+			s := New(tier, budget)
+			var rec func(depth int)
+			rec = func(depth int) {
+				want := snap(s)
+				m := s.Mark()
+				for i := rng.Intn(8); i > 0; i-- {
+					s.Assert(randomCond(rng, 0), rng.Intn(2) == 0)
+					if depth < 4 && rng.Intn(3) == 0 {
+						rec(depth + 1)
+					}
+				}
+				s.Undo(m)
+				if got := snap(s); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v trial %d depth %d: Undo did not restore the mark:\nwant %+v\ngot  %+v", tier, trial, depth, want, got)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				// Keep root facts satisfiable so the branches have facts to
+				// build on rather than a state that ignores every Assert.
+				m := s.Mark()
+				if s.Assert(randomCond(rng, 0), true); s.Contradiction() {
+					s.Undo(m)
+				}
+				rec(0)
+			}
+		}
 	}
 }

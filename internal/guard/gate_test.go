@@ -3,6 +3,7 @@ package guard
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,6 +45,11 @@ func TestGateAcquireRelease(t *testing.T) {
 // admission layer depends on: InFlight never goes negative (sampled
 // continuously by a watcher goroutine), and Drain always completes with no
 // work left in flight.
+//
+// The drain fires once a quarter of the work has been admitted, and each
+// goroutine parks at its halfway point until the gate is draining, so both
+// outcomes occur however the scheduler runs the goroutines: the first half
+// is admitted before the drain, the second half is refused by it.
 func TestGateContentionWithConcurrentDrain(t *testing.T) {
 	const workers, goroutines, iters = 3, 32, 200
 	g := NewGate(workers)
@@ -80,6 +86,11 @@ func TestGateContentionWithConcurrentDrain(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
+				if i == iters/2 {
+					for !g.Draining() {
+						runtime.Gosched()
+					}
+				}
 				switch {
 				case w%4 == 0:
 					// Exercise the Do path under the same churn.
@@ -116,7 +127,9 @@ func TestGateContentionWithConcurrentDrain(t *testing.T) {
 
 	// Fire the drain mid-churn from its own goroutine (plus a second
 	// concurrent Drain call: it must be idempotent and also complete).
-	time.Sleep(2 * time.Millisecond)
+	for admitted.Load() < goroutines*iters/4 {
+		runtime.Gosched()
+	}
 	drainErr := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {

@@ -153,7 +153,6 @@ func (ex *Extractor) Extract(name string) (*FuncPaths, error) {
 		return nil, err
 	}
 	fp := &FuncPaths{Fn: name, Signature: Signature(g.Fn)}
-	st := &walkState{ex: ex, g: g, fp: fp}
 	env := sym.NewEnv()
 	for _, p := range g.Fn.Params {
 		if p.Name != "" {
@@ -168,7 +167,12 @@ func (ex *Extractor) Extract(name string) (*FuncPaths, error) {
 	// behavior. Strict's step budget is per function (walk is one
 	// goroutine), so its pruning decisions are deterministic too.
 	fs := feas.New(ex.cfg.Precision, nil)
-	st.walk(g.Entry, env, fs, &pathBuild{visits: map[int]int{}})
+	st := &walkState{
+		ex: ex, g: g, fp: fp, env: env, fs: fs,
+		pb:       &pathBuild{visits: make([]int, len(g.Blocks))},
+		branches: make([]*branchInfo, len(g.Blocks)),
+	}
+	st.walk(g.Entry)
 	for i, p := range fp.Paths {
 		p.Index = i
 	}
@@ -196,38 +200,88 @@ func (ex *Extractor) ExtractAll() ([]*FuncPaths, error) {
 	return out, nil
 }
 
-// pathBuild accumulates one path during the DFS.
+// pathBuild is the path the depth-first walk is currently on. One pathBuild
+// serves a whole function walk: mark and reset truncate it back to a branch
+// point after each edge, so no edge copies the path prefix.
 type pathBuild struct {
 	blocks []int
 	conds  []Condition
 	states []StateUpdate
 	calls  []CallRecord
-	visits map[int]int
+	// visits counts each block ID's occurrences in blocks.
+	visits []int
 	tempN  int
 }
 
-func (pb *pathBuild) clone() *pathBuild {
-	c := &pathBuild{
-		blocks: append([]int(nil), pb.blocks...),
-		conds:  append([]Condition(nil), pb.conds...),
-		states: append([]StateUpdate(nil), pb.states...),
-		calls:  append([]CallRecord(nil), pb.calls...),
-		visits: make(map[int]int, len(pb.visits)),
-		tempN:  pb.tempN,
-	}
-	for k, v := range pb.visits {
-		c.visits[k] = v
-	}
-	return c
+// pathMark is a pathBuild length snapshot taken at a branch edge.
+type pathMark struct {
+	blocks, conds, states, calls, tempN int
 }
 
+func (pb *pathBuild) mark() pathMark {
+	return pathMark{len(pb.blocks), len(pb.conds), len(pb.states), len(pb.calls), pb.tempN}
+}
+
+// reset truncates the path back to m, un-counting the blocks it leaves.
+// Records before m are never mutated after m is taken (a statement only
+// annotates the call record it appended itself), so truncation restores
+// them exactly.
+func (pb *pathBuild) reset(m pathMark) {
+	for _, id := range pb.blocks[m.blocks:] {
+		pb.visits[id]--
+	}
+	pb.blocks = pb.blocks[:m.blocks]
+	pb.conds = pb.conds[:m.conds]
+	pb.states = pb.states[:m.states]
+	pb.calls = pb.calls[:m.calls]
+	pb.tempN = m.tempN
+}
+
+// branchInfo is what every visit of one conditional block shares: the
+// condition's rendering, the names it references and each edge's outcome
+// label — none of which depends on the path.
+type branchInfo struct {
+	expr     string
+	vars     []string
+	fields   []string
+	outcomes []string
+}
+
+// walkState is one function's depth-first walk: a single environment,
+// feasibility state and path that every branch edge mutates and then
+// undoes.
 type walkState struct {
-	ex *Extractor
-	g  *cfg.Graph
-	fp *FuncPaths
+	ex  *Extractor
+	g   *cfg.Graph
+	fp  *FuncPaths
+	env *sym.Env
+	fs  *feas.State
+	pb  *pathBuild
+	// branches caches branchInfo by block ID, filled on first visit.
+	branches []*branchInfo
 }
 
-func (st *walkState) walk(b *cfg.Block, env *sym.Env, fs *feas.State, pb *pathBuild) {
+func (st *walkState) branch(b *cfg.Block) *branchInfo {
+	if bi := st.branches[b.ID]; bi != nil {
+		return bi
+	}
+	bi := &branchInfo{
+		expr:     cast.ExprString(b.Cond),
+		vars:     cast.Idents(b.Cond),
+		fields:   fieldPaths(b.Cond),
+		outcomes: make([]string, len(b.Succs)),
+	}
+	for i, e := range b.Succs {
+		bi.outcomes[i] = e.Kind.String()
+		if e.Kind == cfg.Case {
+			bi.outcomes[i] = "case " + e.Label
+		}
+	}
+	st.branches[b.ID] = bi
+	return bi
+}
+
+func (st *walkState) walk(b *cfg.Block) {
 	if st.fp.Truncated {
 		// Already degraded (budget exhaustion or the path cap); never clear
 		// the flag — a budget-truncated function with room left under
@@ -245,6 +299,7 @@ func (st *walkState) walk(b *cfg.Block, env *sym.Env, fs *feas.State, pb *pathBu
 		st.fp.Truncated = true
 		return
 	}
+	env, fs, pb := st.env, st.fs, st.pb
 	if pb.visits[b.ID] >= st.ex.cfg.MaxBlockVisits {
 		return // loop bound reached; abandon this continuation
 	}
@@ -261,35 +316,30 @@ func (st *walkState) walk(b *cfg.Block, env *sym.Env, fs *feas.State, pb *pathBu
 	}
 
 	if b == st.g.Exit || ret != nil {
-		st.emit(env, pb, ret)
+		st.emit(ret)
 		return
 	}
 	if len(b.Succs) == 0 {
-		st.emit(env, pb, nil)
+		st.emit(nil)
 		return
 	}
 
 	if b.Cond == nil {
 		// Unconditional: single successor expected.
-		st.walk(b.Succs[0].To, env, fs, pb)
+		st.walk(b.Succs[0].To)
 		return
 	}
 
-	condText := cast.ExprString(b.Cond)
+	bi := st.branch(b)
 	symv := ev.eval(b.Cond)
-	vars := cast.Idents(b.Cond)
-	fields := fieldPaths(b.Cond)
+	symText := symv.String()
 	line := b.Cond.Pos().Line
 
 	// Disequality refutation: a symbolic equality over an excluded value has
 	// a known outcome even though the operand itself is unbound.
 	known, knownVal := refuteByExclusion(env, b.Cond)
 
-	for _, e := range b.Succs {
-		outcome := e.Kind.String()
-		if e.Kind == cfg.Case {
-			outcome = "case " + e.Label
-		}
+	for i, e := range b.Succs {
 		// Concrete condition pruning: when the condition folds to a constant,
 		// only the matching boolean edge is feasible.
 		if n, ok := symv.ConcreteInt(); ok && (e.Kind == cfg.True || e.Kind == cfg.False) {
@@ -302,45 +352,46 @@ func (st *walkState) walk(b *cfg.Block, env *sym.Env, fs *feas.State, pb *pathBu
 				continue
 			}
 		}
-		branchEnv := env.Clone()
-		branchFS := fs.Clone()
+		envMark, fsMark, pbMark := env.Mark(), fs.Mark(), pb.mark()
 		// Branch refinement: boolean edges learn the condition's truth
 		// value, Case edges bind the switch tag to the matched label, and
 		// Default edges learn that the tag matches no label.
 		switch e.Kind {
 		case cfg.True, cfg.False:
 			taken := e.Kind == cfg.True
-			refineEnv(branchEnv, b.Cond, taken)
-			branchFS.Assert(symv, taken)
+			refineEnv(env, b.Cond, taken)
+			fs.Assert(symv, taken)
 		case cfg.Case:
-			refineCaseEnv(branchEnv, b.Cond, e.Label)
+			refineCaseEnv(env, b.Cond, e.Label)
 			if n, ok := caseLabelInt(e.Label); ok {
-				branchFS.Assert(sym.NewExpr("==", symv, sym.NewInt(n)), true)
+				fs.Assert(sym.NewExpr("==", symv, sym.NewInt(n)), true)
 			}
 		case cfg.Default:
-			refineDefaultEnv(branchEnv, b.Cond, b.Succs)
+			refineDefaultEnv(env, b.Cond, b.Succs)
 			for _, sib := range b.Succs {
 				if sib.Kind != cfg.Case {
 					continue
 				}
 				if n, ok := caseLabelInt(sib.Label); ok {
-					branchFS.Assert(sym.NewExpr("!=", symv, sym.NewInt(n)), true)
+					fs.Assert(sym.NewExpr("!=", symv, sym.NewInt(n)), true)
 				}
 			}
 		}
 		// Feasibility pruning runs after the concrete and exclusion prunes
 		// above, so it only ever discards continuations the Fast tier would
 		// still have walked; with a nil state (Fast) nothing is ever pruned.
-		if branchFS.Contradiction() {
+		if fs.Contradiction() {
 			st.fp.Pruned++
-			continue
+		} else {
+			pb.conds = append(pb.conds, Condition{
+				Expr: bi.expr, Sym: symText, Outcome: bi.outcomes[i],
+				Vars: bi.vars, Fields: bi.fields, Line: line,
+			})
+			st.walk(e.To)
 		}
-		branchPB := pb.clone()
-		branchPB.conds = append(branchPB.conds, Condition{
-			Expr: condText, Sym: symv.String(), Outcome: outcome,
-			Vars: vars, Fields: fields, Line: line,
-		})
-		st.walk(e.To, branchEnv, branchFS, branchPB)
+		pb.reset(pbMark)
+		fs.Undo(fsMark)
+		env.Undo(envMark)
 	}
 }
 
@@ -397,24 +448,28 @@ func refineEnv(env *sym.Env, cond cast.Expr, taken bool) {
 	}
 }
 
-func (st *walkState) emit(env *sym.Env, pb *pathBuild, ret *cast.ReturnStmt) {
+// emit records the current path. The path's slices are exact-length copies
+// of the walk's: the walk reuses its own on the next branch, and markChecked
+// mutates the copied call records.
+func (st *walkState) emit(ret *cast.ReturnStmt) {
 	if len(st.fp.Paths) >= st.ex.cfg.MaxPaths {
 		st.fp.Truncated = true
 		return
 	}
+	pb := st.pb
 	p := &ExecPath{
 		Fn:        st.fp.Fn,
 		Signature: st.fp.Signature,
-		Blocks:    pb.blocks,
-		Conds:     pb.conds,
-		States:    pb.states,
-		Calls:     pb.calls,
+		Blocks:    clip(pb.blocks),
+		Conds:     clip(pb.conds),
+		States:    clip(pb.states),
+		Calls:     clip(pb.calls),
 	}
 	out := &Output{Void: true}
 	if ret != nil {
 		out.Line = ret.P.Line
 		if ret.X != nil {
-			ev := &evaluator{st: st, env: env, pb: pb}
+			ev := &evaluator{st: st, env: st.env, pb: pb}
 			out.Void = false
 			out.Expr = cast.ExprString(ret.X)
 			out.Sym = ev.evalNoEffects(ret.X).String()
@@ -423,6 +478,17 @@ func (st *walkState) emit(env *sym.Env, pb *pathBuild, ret *cast.ReturnStmt) {
 	p.Out = out
 	markChecked(p)
 	st.fp.Paths = append(st.fp.Paths, p)
+}
+
+// clip returns an exact-length copy of s; empty (or nil) copies to nil, as
+// an ExecPath's empty slices have always been nil (JSON null).
+func clip[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // refineCaseEnv binds a switch tag to the matched case label when both are
@@ -740,11 +806,7 @@ func (ev *evaluator) assign(x *cast.AssignExpr) *sym.Value {
 	ev.env.Set(target, rhs)
 	// Writing through the whole variable invalidates field bindings.
 	if _, isIdent := x.L.(*cast.IdentExpr); isIdent {
-		for _, n := range ev.env.Names() {
-			if strings.HasPrefix(n, target+"->") || strings.HasPrefix(n, target+".") {
-				ev.env.Delete(n)
-			}
-		}
+		ev.env.DeleteFields(target)
 	}
 	ev.record(StateUpdate{Target: target, Root: root, Value: rhs.String(), Kind: Assign, Line: x.P.Line})
 	return rhs

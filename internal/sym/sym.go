@@ -10,9 +10,8 @@
 package sym
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Kind discriminates symbolic values.
@@ -44,14 +43,30 @@ type Value struct {
 	Args []*Value
 }
 
-// NewInt returns a concrete integer value.
-func NewInt(n int64) *Value { return &Value{Kind: Int, N: n} }
+// NewInt returns a concrete integer value. Small integers, which literals
+// and folded comparisons produce constantly, are shared: Values are
+// immutable, so one instance serves every use.
+func NewInt(n int64) *Value {
+	if n >= minSmallInt && n <= maxSmallInt {
+		return &smallInts[n-minSmallInt]
+	}
+	return &Value{Kind: Int, N: n}
+}
+
+const minSmallInt, maxSmallInt = -64, 255
+
+var smallInts = func() (t [maxSmallInt - minSmallInt + 1]Value) {
+	for i := range t {
+		t[i] = Value{Kind: Int, N: int64(i) + minSmallInt}
+	}
+	return t
+}()
 
 // NewSym returns a free symbol named after an input variable.
 func NewSym(name string) *Value { return &Value{Kind: Sym, Name: name} }
 
 // NewTemp returns the numbered temporary V#n.
-func NewTemp(n int) *Value { return &Value{Kind: Temp, Name: fmt.Sprintf("%d", n)} }
+func NewTemp(n int) *Value { return &Value{Kind: Temp, Name: strconv.Itoa(n)} }
 
 // NewStr returns a string constant value.
 func NewStr(s string) *Value { return &Value{Kind: Str, Name: s} }
@@ -138,32 +153,61 @@ func boolInt(b bool) *Value {
 
 // String renders the value in Table-5 notation.
 func (v *Value) String() string {
+	var buf [64]byte
+	return string(v.appendTo(buf[:0]))
+}
+
+// appendTo appends the Table-5 rendering of v to b.
+func (v *Value) appendTo(b []byte) []byte {
 	if v == nil {
-		return "S#unknown"
+		return append(b, "S#unknown"...)
 	}
 	switch v.Kind {
 	case Int:
-		return fmt.Sprintf("(I#%d)", v.N)
+		b = append(b, "(I#"...)
+		b = strconv.AppendInt(b, v.N, 10)
+		return append(b, ')')
 	case Sym:
-		return fmt.Sprintf("(S#%s)", v.Name)
+		b = append(b, "(S#"...)
+		b = append(b, v.Name...)
+		return append(b, ')')
 	case Temp:
-		return fmt.Sprintf("(V#%s)", v.Name)
+		b = append(b, "(V#"...)
+		b = append(b, v.Name...)
+		return append(b, ')')
 	case Str:
-		return fmt.Sprintf("(I#%q)", v.Name)
+		b = append(b, "(I#"...)
+		b = strconv.AppendQuote(b, v.Name)
+		return append(b, ')')
 	case Expr:
-		parts := make([]string, len(v.Args))
+		infix := isInfix(v.Op)
+		switch {
+		case infix && len(v.Args) == 2:
+			b = append(b, '(')
+			b = v.Args[0].appendTo(b)
+			b = append(b, ' ')
+			b = append(b, v.Op...)
+			b = append(b, ' ')
+			b = v.Args[1].appendTo(b)
+			return append(b, ')')
+		case infix && len(v.Args) == 1:
+			b = append(b, '(')
+			b = append(b, v.Op...)
+			b = v.Args[0].appendTo(b)
+			return append(b, ')')
+		}
+		b = append(b, "(E#"...)
+		b = append(b, v.Op...)
+		b = append(b, '(')
 		for i, a := range v.Args {
-			parts[i] = a.String()
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = a.appendTo(b)
 		}
-		if isInfix(v.Op) && len(parts) == 2 {
-			return "(" + parts[0] + " " + v.Op + " " + parts[1] + ")"
-		}
-		if isInfix(v.Op) && len(parts) == 1 {
-			return "(" + v.Op + parts[0] + ")"
-		}
-		return fmt.Sprintf("(E#%s(%s))", v.Op, strings.Join(parts, ", "))
+		return append(b, "))"...)
 	}
-	return "?"
+	return append(b, '?')
 }
 
 func isInfix(op string) bool {
@@ -279,31 +323,95 @@ func (v *Value) Symbols() []string {
 
 // Env is a symbolic environment: variable (or field path) → value, plus the
 // disequalities learned from refuted branches (x != K).
+//
+// An Env is one mutable state that a depth-first walk backtracks over: every
+// mutation first records the name's prior binding and disequality set on an
+// undo trail, and Undo rolls the trail back to a Mark. Disequality sets are
+// copied on write, so a set reachable from the trail is never mutated.
 type Env struct {
-	m  map[string]*Value
-	ne map[string]map[int64]bool
+	m     map[string]*Value
+	ne    map[string]map[int64]bool
+	trail []binding
+	// fields counts, per root identifier, the bound field paths rooted at
+	// it, so DeleteFields skips its scan when there are none.
+	fields map[string]int
 }
 
-// NewEnv returns an empty environment.
-func NewEnv() *Env { return &Env{m: map[string]*Value{}} }
+// binding is one undo-trail entry: a name's state before one mutation.
+type binding struct {
+	name  string
+	v     *Value
+	bound bool
+	ne    map[int64]bool // nil: no disequalities recorded
+}
 
-// Clone returns a copy that can be mutated independently.
-func (e *Env) Clone() *Env {
-	c := NewEnv()
-	for k, v := range e.m {
-		c.m[k] = v
-	}
-	if e.ne != nil {
-		c.ne = make(map[string]map[int64]bool, len(e.ne))
-		for k, set := range e.ne {
-			cp := make(map[int64]bool, len(set))
-			for v := range set {
-				cp[v] = true
-			}
-			c.ne[k] = cp
+// Mark is a point on an Env's undo trail.
+type Mark int
+
+// NewEnv returns an empty environment.
+func NewEnv() *Env {
+	return &Env{m: map[string]*Value{}, ne: map[string]map[int64]bool{}, fields: map[string]int{}}
+}
+
+// Mark returns the current point on the undo trail.
+func (e *Env) Mark() Mark { return Mark(len(e.trail)) }
+
+// Undo restores the environment to its state at m, discarding every
+// mutation made since. Marks must be undone in LIFO order.
+func (e *Env) Undo(m Mark) {
+	for i := len(e.trail) - 1; i >= int(m); i-- {
+		b := e.trail[i]
+		if b.bound {
+			e.bind(b.name, b.v)
+		} else {
+			e.unbind(b.name)
+		}
+		if b.ne != nil {
+			e.ne[b.name] = b.ne
+		} else {
+			delete(e.ne, b.name)
 		}
 	}
-	return c
+	clear(e.trail[m:])
+	e.trail = e.trail[:m]
+}
+
+// save records name's current state on the undo trail.
+func (e *Env) save(name string) {
+	v, bound := e.m[name]
+	e.trail = append(e.trail, binding{name: name, v: v, bound: bound, ne: e.ne[name]})
+}
+
+// bind sets name's binding, keeping the field-path counts.
+func (e *Env) bind(name string, v *Value) {
+	if _, ok := e.m[name]; !ok {
+		if root, ok := fieldRoot(name); ok {
+			e.fields[root]++
+		}
+	}
+	e.m[name] = v
+}
+
+// unbind removes name's binding, keeping the field-path counts.
+func (e *Env) unbind(name string) {
+	if _, ok := e.m[name]; ok {
+		if root, ok := fieldRoot(name); ok {
+			e.fields[root]--
+		}
+		delete(e.m, name)
+	}
+}
+
+// fieldRoot splits a field path at its first "->" or ".": "q->next->len"
+// and "q.f" are rooted at "q". ok is false for names that are not field
+// paths.
+func fieldRoot(name string) (root string, ok bool) {
+	for i := 0; i < len(name); i++ {
+		if name[i] == '.' || name[i] == '-' && i+1 < len(name) && name[i+1] == '>' {
+			return name[:i], true
+		}
+	}
+	return "", false
 }
 
 // Get returns the binding for name, or nil.
@@ -311,36 +419,50 @@ func (e *Env) Get(name string) *Value { return e.m[name] }
 
 // Set binds name to v; any disequalities for name are superseded.
 func (e *Env) Set(name string, v *Value) {
-	e.m[name] = v
-	if e.ne != nil {
-		delete(e.ne, name)
-	}
+	e.save(name)
+	e.bind(name, v)
+	delete(e.ne, name)
 }
 
 // Delete removes a binding.
 func (e *Env) Delete(name string) {
-	delete(e.m, name)
-	if e.ne != nil {
-		delete(e.ne, name)
+	e.save(name)
+	e.unbind(name)
+	delete(e.ne, name)
+}
+
+// DeleteFields removes every field-path binding rooted at the identifier
+// name ("name->f", "name.f"): a write through the whole variable
+// invalidates them.
+func (e *Env) DeleteFields(name string) {
+	if e.fields[name] == 0 {
+		return
+	}
+	for n := range e.m {
+		if root, ok := fieldRoot(n); ok && root == name {
+			e.Delete(n)
+		}
 	}
 }
 
 // Exclude records that name is known not to equal val (learned from the
 // refuted edge of an equality branch).
 func (e *Env) Exclude(name string, val int64) {
-	if e.ne == nil {
-		e.ne = map[string]map[int64]bool{}
+	old := e.ne[name]
+	if old[val] {
+		return
 	}
-	if e.ne[name] == nil {
-		e.ne[name] = map[int64]bool{}
+	e.save(name)
+	set := make(map[int64]bool, len(old)+1)
+	for n := range old {
+		set[n] = true
 	}
-	e.ne[name][val] = true
+	set[val] = true
+	e.ne[name] = set
 }
 
 // Excluded reports whether name is known to differ from val.
-func (e *Env) Excluded(name string, val int64) bool {
-	return e.ne != nil && e.ne[name] != nil && e.ne[name][val]
-}
+func (e *Env) Excluded(name string, val int64) bool { return e.ne[name][val] }
 
 // Names returns the bound names, sorted.
 func (e *Env) Names() []string {

@@ -1,6 +1,10 @@
 package sym
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -96,24 +100,31 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestEnvCloneIsolation(t *testing.T) {
+// TestEnvUndoIsolation checks sibling independence through the trail: a
+// branch's writes are gone once it is undone, so the next sibling starts
+// from the parent's bindings.
+func TestEnvUndoIsolation(t *testing.T) {
 	e := NewEnv()
 	e.Set("x", NewInt(1))
-	c := e.Clone()
-	c.Set("x", NewInt(2))
-	c.Set("y", NewInt(3))
+	m := e.Mark()
+	e.Set("x", NewInt(2))
+	e.Set("y", NewInt(3))
+	if e.Len() != 2 {
+		t.Errorf("branch len = %d, want 2", e.Len())
+	}
+	e.Delete("y")
+	if e.Get("y") != nil {
+		t.Error("delete failed")
+	}
+	e.Undo(m)
 	if n, _ := e.Get("x").ConcreteInt(); n != 1 {
-		t.Error("clone mutated parent")
+		t.Error("undone branch still rebinds x")
 	}
 	if e.Get("y") != nil {
-		t.Error("clone leaked into parent")
+		t.Error("undone branch leaked y")
 	}
-	if e.Len() != 1 || c.Len() != 2 {
-		t.Errorf("lens = %d, %d", e.Len(), c.Len())
-	}
-	c.Delete("y")
-	if c.Get("y") != nil {
-		t.Error("delete failed")
+	if e.Len() != 1 {
+		t.Errorf("len after undo = %d, want 1", e.Len())
 	}
 }
 
@@ -220,14 +231,18 @@ func TestEnvExclusions(t *testing.T) {
 	if !e.Excluded("order", 0) || e.Excluded("order", 1) || e.Excluded("other", 0) {
 		t.Fatal("exclusion bookkeeping wrong")
 	}
-	// Clones carry exclusions independently.
-	c := e.Clone()
-	c.Exclude("order", 5)
-	if e.Excluded("order", 5) {
-		t.Fatal("clone leaked exclusion into parent")
+	// A branch's exclusions are undone with it; the parent's survive.
+	m := e.Mark()
+	e.Exclude("order", 5)
+	if !e.Excluded("order", 0) || !e.Excluded("order", 5) {
+		t.Fatal("branch lost an exclusion")
 	}
-	if !c.Excluded("order", 0) {
-		t.Fatal("clone lost parent exclusion")
+	e.Undo(m)
+	if e.Excluded("order", 5) {
+		t.Fatal("undone branch leaked exclusion into parent")
+	}
+	if !e.Excluded("order", 0) {
+		t.Fatal("undo lost parent exclusion")
 	}
 	// A concrete rebinding supersedes exclusions.
 	e.Set("order", NewInt(3))
@@ -238,5 +253,140 @@ func TestEnvExclusions(t *testing.T) {
 	e.Delete("order")
 	if e.Excluded("order", 7) {
 		t.Fatal("Delete must clear exclusions")
+	}
+}
+
+func TestEnvDeleteFields(t *testing.T) {
+	e := NewEnv()
+	for _, n := range []string{"q", "q->len", "q.flags", "qq->len", "q2", "p->q"} {
+		e.Set(n, NewSym(n))
+	}
+	e.Exclude("q->state", 0)
+	m := e.Mark()
+	e.DeleteFields("q")
+	if got := strings.Join(e.Names(), " "); got != "p->q q q2 qq->len" {
+		t.Errorf("after DeleteFields(q): %s", got)
+	}
+	if !e.Excluded("q->state", 0) {
+		t.Error("DeleteFields touched an exclusion without a binding")
+	}
+	e.Undo(m)
+	if got := strings.Join(e.Names(), " "); got != "p->q q q->len q.flags q2 qq->len" {
+		t.Errorf("after Undo: %s", got)
+	}
+}
+
+// envSnapshot is a deep copy of an Env's bindings and disequality sets.
+type envSnapshot struct {
+	m  map[string]*Value
+	ne map[string]map[int64]bool
+}
+
+func snapshotEnv(e *Env) envSnapshot {
+	s := envSnapshot{m: map[string]*Value{}, ne: map[string]map[int64]bool{}}
+	for k, v := range e.m {
+		s.m[k] = v
+	}
+	for k, set := range e.ne {
+		cp := map[int64]bool{}
+		for n := range set {
+			cp[n] = true
+		}
+		s.ne[k] = cp
+	}
+	return s
+}
+
+func (s envSnapshot) equal(e *Env) bool {
+	return reflect.DeepEqual(s, snapshotEnv(e))
+}
+
+// checkFieldCounts verifies DeleteFields' index against a recount.
+func checkFieldCounts(t *testing.T, e *Env) {
+	t.Helper()
+	want := map[string]int{}
+	for n := range e.m {
+		if root, ok := fieldRoot(n); ok {
+			want[root]++
+		}
+	}
+	for root, n := range e.fields {
+		if n != want[root] {
+			t.Fatalf("fields[%q] = %d, want %d", root, n, want[root])
+		}
+	}
+}
+
+// TestEnvUndoRestoresMark is the trail's property test: random nested
+// sequences of Set/Delete/Exclude/DeleteFields, each undone to its Mark,
+// leave the Env equal to a deep snapshot taken at the mark — bindings and
+// disequality sets alike.
+func TestEnvUndoRestoresMark(t *testing.T) {
+	names := []string{"a", "b", "c", "a->f", "a.g", "b->f"}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		e := NewEnv()
+		var rec func(depth int)
+		rec = func(depth int) {
+			snap := snapshotEnv(e)
+			m := e.Mark()
+			for i := rng.Intn(12); i > 0; i-- {
+				n := names[rng.Intn(len(names))]
+				switch rng.Intn(5) {
+				case 0:
+					e.Set(n, NewInt(int64(rng.Intn(4))))
+				case 1:
+					e.Delete(n)
+				case 2:
+					e.DeleteFields(n)
+				default:
+					e.Exclude(n, int64(rng.Intn(4)))
+				}
+				if depth < 4 && rng.Intn(3) == 0 {
+					rec(depth + 1)
+				}
+			}
+			e.Undo(m)
+			checkFieldCounts(t, e)
+			if !snap.equal(e) {
+				t.Fatalf("trial %d depth %d: Undo did not restore the mark:\nwant %v\ngot  %v", trial, depth, snap, snapshotEnv(e))
+			}
+		}
+		// Siblings on one Env: each starts from the state its parent left.
+		for i := 0; i < 3; i++ {
+			e.Set(names[rng.Intn(len(names))], NewSym("root"))
+			e.Exclude(names[rng.Intn(len(names))], 9)
+			rec(0)
+		}
+	}
+}
+
+func TestValueStringMatchesSprintf(t *testing.T) {
+	// The strconv renderer must match the fmt verbs it replaced.
+	for _, v := range []*Value{
+		NewInt(-42), NewInt(0), NewSym("gfp_mask"), NewTemp(17),
+		NewStr("a\"b\n\x00é"), NewStr(""),
+	} {
+		var want string
+		switch v.Kind {
+		case Int:
+			want = fmt.Sprintf("(I#%d)", v.N)
+		case Sym:
+			want = fmt.Sprintf("(S#%s)", v.Name)
+		case Temp:
+			want = fmt.Sprintf("(V#%s)", v.Name)
+		case Str:
+			want = fmt.Sprintf("(I#%q)", v.Name)
+		}
+		if got := v.String(); got != want {
+			t.Errorf("String() = %s, want %s", got, want)
+		}
+	}
+	call := NewExpr("kmalloc", NewSym("n"), nil, NewExpr("-", NewSym("x")))
+	if got, want := call.String(), "(E#kmalloc((S#n), S#unknown, (-(S#x))))"; got != want {
+		t.Errorf("call String() = %s, want %s", got, want)
+	}
+	if got, want := NewExpr("f").String(), "(E#f())"; got != want {
+		t.Errorf("nullary String() = %s, want %s", got, want)
 	}
 }
