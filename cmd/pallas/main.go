@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,6 +32,7 @@ import (
 	"pallas/internal/difftool"
 	"pallas/internal/failpoint"
 	"pallas/internal/feas"
+	"pallas/internal/incr"
 	"pallas/internal/infer"
 )
 
@@ -59,12 +61,10 @@ func main() {
 		err = cmdCorpus(os.Args[2:])
 	case "infer":
 		err = cmdInfer(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
+	case "serve", "worker":
+		err = cmdServe(os.Args[1], os.Args[2:])
 	case "cluster":
 		err = cmdCluster(os.Args[2:])
-	case "worker":
-		err = cmdWorker(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -73,10 +73,29 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	var code exitCode
+	if errors.As(err, &code) {
+		os.Exit(int(code))
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pallas:", err)
 		os.Exit(1)
 	}
+}
+
+// exitCode is the error of a command that ran to completion with a
+// non-zero exit status. Returning it instead of calling os.Exit lets the
+// command's deferred cleanup (cluster stops its workers) run first.
+type exitCode int
+
+func (c exitCode) Error() string { return fmt.Sprintf("exit status %d", int(c)) }
+
+// exitStatus is nil for code 0 and exitCode(code) otherwise.
+func exitStatus(code int) error {
+	if code == 0 {
+		return nil
+	}
+	return exitCode(code)
 }
 
 func usage() {
@@ -85,7 +104,8 @@ func usage() {
 commands:
   check    [-spec file] [-checker name] [-json] [-html out]
            [-precision fast|balanced|strict]
-           [-timeout d] [-keep-going] [-workers n] [-analysis-workers n]
+           [-timeout d] [-keep-going] [-workers n] [-min-workers n]
+           [-analysis-workers n]
            [-journal file] [-resume] [-retries n] [-group-commit]
            [-cache-dir dir] [-cache-bytes n]
            [-incr-dir dir] [-incr-bytes n] [-cache-stats]
@@ -100,24 +120,37 @@ commands:
             -precision selects the feasibility tier: fast explores every
             structural path, balanced prunes interval-contradictory paths,
             strict adds budgeted cross-condition equality reasoning)
-  serve    [-addr host:port] [-cache-dir dir] [-cache-bytes n]
-           [-incr-dir dir] [-incr-bytes n]
-           [-cache-peers host:port] [-cache-replicas n] [-cache-stats]
-           [-workers n] [-analysis-workers n] [-timeout d] run the HTTP service
+  serve    [-addr host:port] [-checker name] [-precision fast|balanced|strict]
+           [-timeout d] [-keep-going] [-analysis-workers n]
+           [-incr-dir dir] [-incr-bytes n] [-include-dir dir]
+           [-workers n] [-min-workers n] [-max-queue n]
+           [-rate r] [-rate-burst n] [-global-rate r] [-global-burst n]
+           [-breaker-threshold n] [-breaker-cooldown d]
+           [-cache-dir dir] [-cache-bytes n] [-cache-peers host:port]
+           [-cache-replicas n] [-cache-stats] [-drain-timeout d]
+                                                      run the HTTP service
            (POST /v1/analyze, GET /v1/report/{key}, /healthz, /metrics;
             SIGTERM drains in-flight requests and exits 0; -cache-peers
             joins a shared cache tier — misses are served by peer replicas,
             verified end to end, degrading to local on any peer fault)
-  cluster  [check flags] [-cluster-workers n] [-worker addr]
-           [-journal file] [-resume] [-pathdb out.json]
+  cluster  [-spec file] [-checker name] [-json] [-html out]
+           [-precision fast|balanced|strict] [-timeout d] [-keep-going]
+           [-workers n] [-analysis-workers n]
+           [-journal file] [-resume] [-retries n] [-group-commit]
+           [-cache-dir dir] [-cache-bytes n] [-incr-dir dir] [-incr-bytes n]
            [-cache-peers] [-cache-replicas n] [-cache-stats]
+           [-cluster-workers n] [-worker addr] [-worker-binary path]
+           [-worker-restarts n] [-inflight n] [-heartbeat d]
+           [-heartbeat-misses n] [-request-timeout d] [-retry-backoff d]
+           [-hedge-after d] [-hedge-max n] [-pathdb out.json]
            [-status-addr host:port] file.c...      distribute check across
            worker processes with crash recovery; stdout and -pathdb output
            are byte-identical to a single-process check at any worker
            count and under any crash schedule; -cache-peers makes worker
            caches one replicated tier under a coordinator-pushed peer map
-  worker   [-addr host:port] [serve flags]        run one cluster worker
-           (prints "pallas: worker listening on ADDR" to stderr when bound)
+  worker   [serve flags]                          run one cluster worker
+           (-addr defaults to 127.0.0.1:0; prints
+            "pallas: worker listening on ADDR" to stderr when bound)
   paths    -func name [-db out.json] file.c              print symbolic paths
   workflow -func name [-dot] file.c                      render the workflow
   diff     -fast f -slow g [-suggest] file.c             compare fast vs slow
@@ -131,148 +164,95 @@ commands:
 // (deadline hit, malformed input under -keep-going, crashed stage), 3 fatal.
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	specPath := fs.String("spec", "", "spec file with semantic directives")
-	checker := fs.String("checker", "", "run only the named checker")
-	asJSON := fs.Bool("json", false, "emit JSON")
-	htmlOut := fs.String("html", "", "additionally write an HTML report to this file")
-	precision := fs.String("precision", "", "feasibility tier: fast (default; every structural path), balanced (prune interval-contradictory paths), strict (balanced plus budgeted cross-condition equality reasoning)")
-	timeout := fs.Duration("timeout", 0, "per-file analysis deadline; expiry degrades, not fails (0 = none)")
-	keepGoing := fs.Bool("keep-going", false, "keep analyzing past malformed input, reporting per-file diagnostics")
-	workers := fs.Int("workers", 0, "parallel workers for multiple files (0 = GOMAXPROCS)")
-	analysisWorkers := fs.Int("analysis-workers", 0, "goroutines per file for per-function extraction and checkers (<=1 = serial; output is identical at any setting)")
-	minWorkers := fs.Int("min-workers", 0, "self-pace: shrink parallelism toward this floor when per-file latency inflates (0 = fixed width)")
-	journalPath := fs.String("journal", "", "checkpoint per-file outcomes to this append-only journal (JSONL)")
-	resume := fs.Bool("resume", false, "skip files whose content hash already has a terminal journal entry (requires -journal)")
-	retries := fs.Int("retries", 0, "retry transient per-file failures up to n times with exponential backoff")
-	groupCommit := fs.Bool("group-commit", false, "batch journal fsyncs across workers (higher throughput, same durability)")
-	cacheDir := fs.String("cache-dir", "", "replay unchanged files from this persistent result cache (shared with serve)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "memory result-cache budget in bytes (0 = default)")
-	incrDir := fs.String("incr-dir", "", "function-level incremental memo directory: unchanged functions replay memoized paths instead of re-extracting (output stays byte-identical)")
-	incrBytes := fs.Int64("incr-bytes", 0, "incremental memo budget in bytes, memory and disk (0 = default 64MiB; needs -incr-dir or enables a memory-only memo)")
-	cacheStats := fs.Bool("cache-stats", false, "print unit-cache and function-memo hit/miss/reuse counts to stderr at exit")
+	rep, eng, batch, srv := newReportFlags(), newEngineFlags(), newBatchFlags(), newServerFlags()
+	use(fs, rep.fs)
+	use(fs, eng.fs)
+	use(fs, batch.fs)
+	use(fs, srv.fs, "cache-dir", "cache-bytes", "cache-stats")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() < 1 {
 		return fmt.Errorf("check: want at least one C file")
 	}
-	if _, err := feas.ParseTier(*precision); err != nil {
+	cfg, err := eng.config()
+	if err != nil {
 		return fmt.Errorf("check: %w", err)
 	}
-	specText := ""
-	if *specPath != "" {
-		b, err := os.ReadFile(*specPath)
-		if err != nil {
-			return err
-		}
-		specText = string(b)
+	units, includeDirs, readErrs, err := rep.loadUnits(fs.Args(), cfg.KeepGoing)
+	if err != nil {
+		return err
 	}
-	cfg := pallas.Config{Deadline: *timeout, KeepGoing: *keepGoing, AnalysisWorkers: *analysisWorkers, Precision: *precision}
-	if *checker != "" {
-		cfg.Checkers = []string{*checker}
-	}
-	if *incrDir != "" || *incrBytes > 0 {
-		cfg.Incremental = &pallas.IncrementalOptions{Dir: *incrDir, MaxBytes: *incrBytes}
-	}
-
-	units := make([]pallas.Unit, 0, fs.NArg())
-	readErrs := map[string]error{}
-	for _, path := range fs.Args() {
-		// Every input's directory serves includes, replacing the per-file
-		// default of AnalyzeFile.
-		if dir := filepath.Dir(path); !contains(cfg.IncludeDirs, dir) {
-			cfg.IncludeDirs = append(cfg.IncludeDirs, dir)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			if !*keepGoing {
-				return err
-			}
-			readErrs[path] = err
-			continue
-		}
-		units = append(units, pallas.Unit{Name: filepath.Base(path), Source: string(b), Spec: specText})
-	}
+	cfg.IncludeDirs = includeDirs
 	analyzer := pallas.New(cfg)
-	results, stats, err := analyzer.AnalyzeBatch(units, pallas.BatchOptions{
-		Workers:            *workers,
-		MinWorkers:         *minWorkers,
-		Retries:            *retries,
-		JournalPath:        *journalPath,
-		Resume:             *resume,
-		JournalGroupCommit: *groupCommit,
-		CacheDir:           *cacheDir,
-		CacheBytes:         *cacheBytes,
-	})
+	opts := batch.opts
+	opts.CacheDir, opts.CacheBytes = srv.cfg.CacheDir, srv.cfg.CacheBytes
+	results, stats, err := analyzer.AnalyzeBatch(units, opts)
 	if err != nil {
 		return err
 	}
-
-	exit := 0
-	raise := func(code int) {
-		if code > exit {
-			exit = code
-		}
-	}
-	for path, err := range readErrs {
-		fmt.Fprintf(os.Stderr, "pallas: %s: %v\n", path, err)
-		raise(3)
-	}
-	pexit, err := printUnitResults(results, printOptions{
-		asJSON:  *asJSON,
-		htmlOut: *htmlOut,
-		multi:   fs.NArg() > 1,
-	})
+	exit, err := rep.report(results, readErrs, fs.NArg() > 1)
 	if err != nil {
 		return err
 	}
-	raise(pexit)
-	if *journalPath != "" {
+	if opts.JournalPath != "" {
 		fmt.Fprintf(os.Stderr,
 			"pallas: journal %s: %d analyzed, %d resumed, %d retried, %d quarantined\n",
-			*journalPath, stats.Analyzed, stats.Skipped, stats.Retried, stats.Quarantined)
-		if stats.JournalTornTail {
-			fmt.Fprintln(os.Stderr, "pallas: journal: recovered from a torn tail (crashed mid-checkpoint)")
-		}
-		if stats.JournalQuarantined > 0 {
-			fmt.Fprintf(os.Stderr, "pallas: journal: quarantined %d corrupt record(s) to %s.quarantine\n",
-				stats.JournalQuarantined, *journalPath)
-		}
+			opts.JournalPath, stats.Analyzed, stats.Skipped, stats.Retried, stats.Quarantined)
+		printJournalRecovery(opts.JournalPath, stats.JournalTornTail, stats.JournalQuarantined)
 	}
-	if *cacheDir != "" {
+	if opts.CacheDir != "" {
 		fmt.Fprintf(os.Stderr, "pallas: cache %s: %d hit(s), %d miss(es)\n",
-			*cacheDir, stats.CacheHits, stats.CacheMisses)
+			opts.CacheDir, stats.CacheHits, stats.CacheMisses)
 	}
-	if *cacheStats {
-		printCacheStats(os.Stderr, analyzer, stats, *precision)
+	if srv.cacheStats {
+		fmt.Fprintf(os.Stderr, "pallas: unit cache: %d hit(s), %d miss(es), %d analyzed\n",
+			stats.CacheHits, stats.CacheMisses, stats.Analyzed)
+		tier, _ := feas.ParseTier(cfg.Precision)
+		printMemoAndFeas(os.Stderr, analyzer, tier, true)
 	}
-	if exit != 0 {
-		os.Exit(exit)
-	}
-	return nil
+	return exitStatus(exit)
 }
 
-// printCacheStats renders the -cache-stats summary: the unit-level result
-// cache (batch path), the function-level incremental memo, and the
-// feasibility layer, one line each, so warm-run wins and pruning activity
-// are visible without scraping /metrics.
-func printCacheStats(w io.Writer, a *pallas.Analyzer, stats pallas.BatchStats, precision string) {
-	fmt.Fprintf(w, "pallas: unit cache: %d hit(s), %d miss(es), %d analyzed\n",
-		stats.CacheHits, stats.CacheMisses, stats.Analyzed)
-	is, ok := a.IncrStats()
-	if !ok {
+// printJournalRecovery reports what opening the journal at path repaired.
+func printJournalRecovery(path string, tornTail bool, quarantined int) {
+	if tornTail {
+		fmt.Fprintln(os.Stderr, "pallas: journal: recovered from a torn tail (crashed mid-checkpoint)")
+	}
+	if quarantined > 0 {
+		fmt.Fprintf(os.Stderr, "pallas: journal: quarantined %d corrupt record(s) to %s.quarantine\n",
+			quarantined, path)
+	}
+}
+
+// statsSource is what the -cache-stats dumps read from a *pallas.Analyzer
+// (check) or a *server.Server (serve, worker).
+type statsSource interface {
+	IncrStats() (incr.Stats, bool)
+	FeasStats() pallas.FeasStats
+}
+
+// printMemoAndFeas writes the function-memo and feasibility lines of the
+// -cache-stats dumps; withReuse appends the memo's reuse percentage, which
+// only check reports.
+func printMemoAndFeas(w io.Writer, src statsSource, tier feas.Tier, withReuse bool) {
+	if is, ok := src.IncrStats(); !ok {
 		fmt.Fprintln(w, "pallas: func memo: off (enable with -incr-dir)")
 	} else {
-		total := is.FuncHits + is.FuncMisses + is.UnitHits + is.UnitMisses
-		reuse := int64(0)
-		if total > 0 {
-			reuse = (is.FuncHits + is.UnitHits) * 100 / total
+		fmt.Fprintf(w, "pallas: func memo: %d hit(s), %d miss(es), %d invalidation(s); unit verdicts: %d hit(s), %d miss(es)",
+			is.FuncHits, is.FuncMisses, is.FuncInvalidations, is.UnitHits, is.UnitMisses)
+		if withReuse {
+			total := is.FuncHits + is.FuncMisses + is.UnitHits + is.UnitMisses
+			reuse := int64(0)
+			if total > 0 {
+				reuse = (is.FuncHits + is.UnitHits) * 100 / total
+			}
+			fmt.Fprintf(w, "; reuse %d%%", reuse)
 		}
-		fmt.Fprintf(w, "pallas: func memo: %d hit(s), %d miss(es), %d invalidation(s); unit verdicts: %d hit(s), %d miss(es); reuse %d%%\n",
-			is.FuncHits, is.FuncMisses, is.FuncInvalidations, is.UnitHits, is.UnitMisses, reuse)
+		fmt.Fprintln(w)
 	}
-	if tier, err := feas.ParseTier(precision); err == nil && tier != feas.Fast {
-		fst := a.FeasStats()
+	if tier != feas.Fast {
+		fst := src.FeasStats()
 		fmt.Fprintf(w, "pallas: feas (%s): %d path(s) pruned, %d contradiction(s)\n",
 			tier, fst.Pruned, fst.Contradictions)
 	} else {
@@ -280,84 +260,72 @@ func printCacheStats(w io.Writer, a *pallas.Analyzer, stats pallas.BatchStats, p
 	}
 }
 
-// printOptions configures printUnitResults.
-type printOptions struct {
-	asJSON  bool
-	htmlOut string
-	multi   bool // several inputs: HTML file names get a per-unit suffix
-}
-
-// printUnitResults renders batch results the way `check` always has —
-// reports to stdout, diagnostics and resume notices to stderr — and returns
-// the worst exit code (0 clean, 1 warnings, 2 degraded, 3 fatal). `cluster`
-// shares it so distributed runs produce byte-identical stdout.
-func printUnitResults(results []pallas.UnitResult, opts printOptions) (int, error) {
+// report prints the unreadable inputs and then the batch results the way
+// check always has — reports to stdout, diagnostics and resume notices to
+// stderr — and returns the worst exit code (0 clean, 1 warnings, 2
+// degraded, 3 fatal). cluster shares it so distributed runs produce
+// byte-identical stdout. multi (several inputs) gives HTML files a
+// per-unit suffix.
+func (r *reportFlags) report(results []pallas.UnitResult, readErrs []error, multi bool) (int, error) {
 	exit := 0
 	raise := func(code int) {
 		if code > exit {
 			exit = code
 		}
 	}
-	for _, r := range results {
-		if r.Skipped {
+	for _, err := range readErrs {
+		fmt.Fprintf(os.Stderr, "pallas: %v\n", err)
+		raise(3)
+	}
+	for _, res := range results {
+		if res.Skipped {
 			// Keep stdout identical to an uninterrupted run; the resume
 			// notice goes to stderr only.
-			fmt.Fprintf(os.Stderr, "pallas: %s: resumed from journal\n", r.Unit)
+			fmt.Fprintf(os.Stderr, "pallas: %s: resumed from journal\n", res.Unit)
 		}
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "pallas: %s: %v\n", r.Unit, r.Err)
-			for _, d := range r.Diagnostics {
+		if res.Err != nil {
+			fmt.Fprintf(os.Stderr, "pallas: %s: %v\n", res.Unit, res.Err)
+			for _, d := range res.Diagnostics {
 				fmt.Fprintln(os.Stderr, "pallas: "+d.String())
 			}
-			if r.Quarantined {
-				fmt.Fprintf(os.Stderr, "pallas: %s: quarantined after %d attempt(s)\n", r.Unit, max(r.Attempts, 1))
+			if res.Quarantined {
+				fmt.Fprintf(os.Stderr, "pallas: %s: quarantined after %d attempt(s)\n", res.Unit, max(res.Attempts, 1))
 			}
 			raise(3)
 			continue
 		}
-		res := r.Result
-		if len(res.Report.Warnings) > 0 && !opts.asJSON {
+		result := res.Result
+		if len(result.Report.Warnings) > 0 && !r.asJSON {
 			raise(1)
 		}
-		if res.Degraded() {
+		if result.Degraded() {
 			raise(2)
-			for _, d := range res.Diagnostics {
+			for _, d := range result.Diagnostics {
 				fmt.Fprintln(os.Stderr, "pallas: "+d.String())
 			}
 		}
-		if opts.htmlOut != "" {
-			// With several inputs, suffix the HTML file per input.
-			out := opts.htmlOut
-			if opts.multi {
-				out = strings.TrimSuffix(out, ".html") + "-" + sanitize(r.Unit) + ".html"
+		if r.htmlOut != "" {
+			out := r.htmlOut
+			if multi {
+				out = strings.TrimSuffix(out, ".html") + "-" + sanitize(res.Unit) + ".html"
 			}
-			if err := writeHTMLReport(res, out); err != nil {
+			if err := writeHTMLReport(result, out); err != nil {
 				return exit, err
 			}
 		}
-		if opts.asJSON {
-			if err := res.Report.WriteJSON(os.Stdout); err != nil {
+		if r.asJSON {
+			if err := result.Report.WriteJSON(os.Stdout); err != nil {
 				return exit, err
 			}
 			continue
 		}
-		if err := res.Report.WriteText(os.Stdout); err != nil {
+		if err := result.Report.WriteText(os.Stdout); err != nil {
 			return exit, err
 		}
 		fmt.Println()
-		fmt.Print(res.Report.Summary())
+		fmt.Print(result.Report.Summary())
 	}
 	return exit, nil
-}
-
-// contains reports whether list holds s.
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 func writeHTMLReport(res *pallas.Result, path string) error {
