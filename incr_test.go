@@ -7,6 +7,9 @@ package pallas_test
 // AnalysisWorkers count.
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -271,5 +274,77 @@ func TestIncrementalDegradedRunsNotMemoized(t *testing.T) {
 	}
 	if st, _ := a.IncrStats(); st.UnitHits != 0 {
 		t.Fatalf("degraded verdict was replayed: %+v", st)
+	}
+}
+
+// unitOutput renders one analysis exactly as the deep goldens hash it —
+// report JSON, path-database JSON and result-cache key — and returns its
+// digest.
+func unitOutput(t *testing.T, a *pallas.Analyzer, u goldenUnit) string {
+	t.Helper()
+	res, err := a.AnalyzeSource(u.file, u.src, u.spec)
+	if err != nil {
+		t.Fatalf("%s: %v", u.id, err)
+	}
+	var rb bytes.Buffer
+	if err := res.Report.WriteJSON(&rb); err != nil {
+		t.Fatal(err)
+	}
+	pb, err := json.Marshal(res.Paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := a.CacheKey(pallas.Unit{Name: u.file, Source: u.src, Spec: u.spec})
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%s\n%s\n", rb.String(), pb, key)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestIncrementalDifferentialReplay: a whole-unit verdict replays byte-
+// identically to a cold run on every deep golden unit (corpus, BigFiles,
+// feasibility traps, deep_padded.c) at every precision tier — from the
+// memory tier of the analyzer that stored it, and from the persistent tier
+// through a fresh analyzer over the same directory.
+func TestIncrementalDifferentialReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: deep-unit replay differential")
+	}
+	units := deepGoldenUnits(t)
+	for _, tier := range []string{"fast", "balanced", "strict"} {
+		t.Run(tier, func(t *testing.T) {
+			cold := pallas.Config{Precision: tier}
+			icfg := cold
+			icfg.Incremental = &pallas.IncrementalOptions{Dir: t.TempDir(), MaxBytes: 1 << 30}
+			plain, warm := pallas.New(cold), pallas.New(icfg)
+			if err := warm.EnsureIncremental(); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]string, len(units))
+			for i, u := range units {
+				want[i] = unitOutput(t, plain, u)
+				if got := unitOutput(t, warm, u); got != want[i] {
+					t.Fatalf("%s: incremental cold-store run drifted from plain run", u.id)
+				}
+				if got := unitOutput(t, warm, u); got != want[i] {
+					t.Fatalf("%s: memory-tier unit replay drifted from plain run", u.id)
+				}
+			}
+			if st, _ := warm.IncrStats(); st.UnitHits != int64(len(units)) {
+				t.Fatalf("memory replays: stats = %+v, want %d unit hits", st, len(units))
+			}
+
+			fresh := pallas.New(icfg)
+			if err := fresh.EnsureIncremental(); err != nil {
+				t.Fatal(err)
+			}
+			for i, u := range units {
+				if got := unitOutput(t, fresh, u); got != want[i] {
+					t.Fatalf("%s: persistent-tier unit replay drifted from plain run", u.id)
+				}
+			}
+			if st, _ := fresh.IncrStats(); st.UnitHits != int64(len(units)) || st.FuncMisses != 0 {
+				t.Fatalf("persistent replays: stats = %+v, want %d unit hits and no extraction", st, len(units))
+			}
+		})
 	}
 }

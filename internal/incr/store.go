@@ -15,18 +15,21 @@ import (
 	"pallas/internal/rcache"
 )
 
-// RecordVersion is the memo record format version. Records with any other
-// version are treated as misses (never as corruption), so the format can
-// evolve without a migration. The layout of FuncRecord and UnitRecord is
-// pinned by TestIncrRecordFormatPinned.
-const RecordVersion = 1
+// Memo record format versions. Records with any other version are treated
+// as misses (never as corruption), so each format can evolve without a
+// migration. The layouts of FuncRecord and UnitRecord are pinned by
+// TestIncrRecordFormatPinned.
+const (
+	FuncRecordVersion = 1
+	UnitRecordVersion = 2
+)
 
 // DefaultMaxBytes bounds the memo store when Options.MaxBytes is unset.
 const DefaultMaxBytes = 64 << 20
 
 // FuncRecord is the persisted form of one memoized function extraction.
 type FuncRecord struct {
-	// Version is RecordVersion at write time.
+	// Version is FuncRecordVersion at write time.
 	Version int `json:"version"`
 	// Fn is the function name.
 	Fn string `json:"fn"`
@@ -40,9 +43,12 @@ type FuncRecord struct {
 
 // UnitRecord is the persisted form of one memoized whole-unit verdict: the
 // exact report and path-database bytes a clean (non-degraded) analysis of
-// the unit produced.
+// the unit produced. Only the header — every field but PathDB — is JSON:
+// it is the cache entry's Report. The path database rides verbatim in the
+// entry's Paths, so writing or replaying a verdict passes over its bytes
+// once.
 type UnitRecord struct {
-	// Version is RecordVersion at write time.
+	// Version is UnitRecordVersion at write time.
 	Version int `json:"version"`
 	// Unit is the unit name the verdict belongs to.
 	Unit string `json:"unit"`
@@ -50,8 +56,9 @@ type UnitRecord struct {
 	Fingerprint string `json:"fingerprint"`
 	// Report is the marshaled report.Report.
 	Report json.RawMessage `json:"report"`
-	// PathDB is the marshaled pathdb.DB.
-	PathDB json.RawMessage `json:"pathdb"`
+	// PathDB is the marshaled pathdb.DB, stored as rcache.Entry.Paths. On a
+	// GetUnit hit it aliases the cached entry's bytes: read-only.
+	PathDB []byte `json:"-"`
 }
 
 // SharedTier is the cluster-wide cache tier the memo can ride on (the peer
@@ -213,7 +220,7 @@ func (s *Store) loadFunc(key, fn, fingerprint string) *FuncRecord {
 	if json.Unmarshal(e.Report, &rec) != nil {
 		return nil
 	}
-	if rec.Version != RecordVersion || rec.Fn != fn || rec.Fingerprint != fingerprint {
+	if rec.Version != FuncRecordVersion || rec.Fn != fn || rec.Fingerprint != fingerprint {
 		return nil
 	}
 	if rec.Paths == nil || rec.Paths.Truncated {
@@ -231,7 +238,7 @@ func (s *Store) PutFunc(key, unit, fn, fingerprint string, fp *paths.FuncPaths) 
 	if fp == nil || fp.Truncated {
 		return
 	}
-	b, err := json.Marshal(FuncRecord{Version: RecordVersion, Fn: fn, Fingerprint: fingerprint, Paths: fp})
+	b, err := json.Marshal(FuncRecord{Version: FuncRecordVersion, Fn: fn, Fingerprint: fingerprint, Paths: fp})
 	if err != nil {
 		return
 	}
@@ -267,22 +274,27 @@ func (s *Store) loadUnit(key, unit, fingerprint string) *UnitRecord {
 	if json.Unmarshal(e.Report, &rec) != nil {
 		return nil
 	}
-	if rec.Version != RecordVersion || rec.Unit != unit || rec.Fingerprint != fingerprint {
+	if rec.Version != UnitRecordVersion || rec.Unit != unit || rec.Fingerprint != fingerprint {
 		return nil
 	}
+	rec.PathDB = e.Paths
 	if len(rec.Report) == 0 || len(rec.PathDB) == 0 {
 		return nil
 	}
 	return &rec
 }
 
-// PutUnit memoizes a whole-unit verdict. Like PutFunc, failures are absorbed.
+// PutUnit memoizes a whole-unit verdict: the header as the entry's Report,
+// rec.PathDB as its Paths. The cache keeps rec.PathDB itself, not a copy,
+// so the caller must not modify it afterwards; rec is left unmodified.
+// Like PutFunc, failures are absorbed.
 func (s *Store) PutUnit(key string, rec *UnitRecord) {
 	if rec == nil || len(rec.Report) == 0 || len(rec.PathDB) == 0 {
 		return
 	}
-	rec.Version = RecordVersion
-	b, err := json.Marshal(rec)
+	hdr := *rec
+	hdr.Version = UnitRecordVersion
+	b, err := json.Marshal(&hdr)
 	if err != nil {
 		return
 	}
@@ -290,9 +302,10 @@ func (s *Store) PutUnit(key string, rec *UnitRecord) {
 		Key:    key,
 		Unit:   "incr-unit:" + rec.Unit,
 		Report: b,
-		Sum:    rcache.ContentSum(b, nil),
+		Paths:  rec.PathDB,
+		Sum:    rcache.ContentSum(b, rec.PathDB),
 	})
-	s.noteWrite(int64(len(b)))
+	s.noteWrite(int64(len(b) + len(rec.PathDB)))
 }
 
 // Stats returns a snapshot of memo activity since Open.

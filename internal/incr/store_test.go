@@ -16,6 +16,7 @@ import (
 
 	"pallas/internal/metrics"
 	"pallas/internal/paths"
+	"pallas/internal/rcache"
 )
 
 func openStore(t *testing.T, o Options) *Store {
@@ -110,6 +111,9 @@ func TestStoreUnitRoundTrip(t *testing.T) {
 	}
 	key := UnitKey("cfg", "u.c", "spec", "ufp1")
 	s.PutUnit(key, rec)
+	if rec.Version != 0 {
+		t.Fatalf("PutUnit wrote into the caller's record: version %d", rec.Version)
+	}
 
 	got := s.GetUnit(key, "u.c", "ufp1")
 	if got == nil {
@@ -124,6 +128,117 @@ func TestStoreUnitRoundTrip(t *testing.T) {
 	st := s.Stats()
 	if st.UnitHits != 1 || st.UnitMisses != 1 {
 		t.Fatalf("stats = %+v, want 1 unit hit / 1 unit miss", st)
+	}
+}
+
+// TestIncrRecordFormatPinned pins both memo record layouts byte for byte.
+// A function record is one JSON document in the cache entry's Report. A
+// unit record (version 2) is a small JSON header in Report with the path
+// database verbatim in Paths, and Sum covering both. A version-1 unit
+// record — path database nested in the envelope — must read as a miss.
+func TestIncrRecordFormatPinned(t *testing.T) {
+	s := openStore(t, Options{})
+	raw := func(key string) *rcache.Entry {
+		t.Helper()
+		e, ok := s.cache.Get(key)
+		if !ok {
+			t.Fatalf("%s: no entry stored", key)
+		}
+		return e
+	}
+
+	s.PutFunc("key-func", "u.c", "fast", "fp1", funcPaths("fast", 1))
+	e := raw("key-func")
+	const wantFunc = `{"version":1,"fn":"fast","fingerprint":"fp1","paths":{"Fn":"fast","Signature":"fast(a)","Paths":[{"Fn":"fast","Signature":"fast(a)","Index":0,"Blocks":[0,1],"Conds":null,"States":null,"Calls":null,"Out":{"Expr":"a","Sym":"a","Line":3,"Void":false}}],"Truncated":false}}`
+	if string(e.Report) != wantFunc || len(e.Paths) != 0 || e.Sum != "b452d7a8" || e.Unit != "incr-func:u.c/fast" {
+		t.Fatalf("function record drifted:\n report %s\n paths %q sum %s unit %s", e.Report, e.Paths, e.Sum, e.Unit)
+	}
+
+	const (
+		report = `{"unit":"u.c","warnings":[]}`
+		pathdb = `{"target":"u.c","entries":{}}`
+	)
+	s.PutUnit("key-unit", &UnitRecord{Unit: "u.c", Fingerprint: "ufp1", Report: json.RawMessage(report), PathDB: []byte(pathdb)})
+	e = raw("key-unit")
+	const wantHeader = `{"version":2,"unit":"u.c","fingerprint":"ufp1","report":` + report + `}`
+	if string(e.Report) != wantHeader || string(e.Paths) != pathdb || e.Sum != "bb050eed" || e.Unit != "incr-unit:u.c" {
+		t.Fatalf("unit record drifted:\n report %s\n paths %s\n sum %s unit %s", e.Report, e.Paths, e.Sum, e.Unit)
+	}
+	if e.Sum != rcache.ContentSum([]byte(wantHeader), []byte(pathdb)) {
+		t.Fatal("unit record sum does not cover header and path database")
+	}
+
+	v1 := []byte(`{"version":1,"unit":"u.c","fingerprint":"ufp1","report":` + report + `,"pathdb":` + pathdb + `}`)
+	s.cache.Put(&rcache.Entry{Key: "key-v1", Unit: "incr-unit:u.c", Report: v1, Sum: rcache.ContentSum(v1, nil)})
+	if s.GetUnit("key-v1", "u.c", "ufp1") != nil {
+		t.Fatal("version-1 unit record (nested path database) replayed")
+	}
+	// The version alone decides: a v1 header is a miss even when a path
+	// database also rides out of band.
+	s.cache.Put(&rcache.Entry{Key: "key-v1b", Unit: "incr-unit:u.c", Report: v1, Paths: []byte(pathdb), Sum: rcache.ContentSum(v1, []byte(pathdb))})
+	if s.GetUnit("key-v1b", "u.c", "ufp1") != nil {
+		t.Fatal("version-1 unit header replayed")
+	}
+	if got := s.GetUnit("key-unit", "u.c", "ufp1"); got == nil || string(got.Report) != report || string(got.PathDB) != pathdb {
+		t.Fatalf("v2 unit record did not replay its bytes: %+v", got)
+	}
+}
+
+// unitRecord builds a unit verdict whose path database is a valid JSON
+// document of about n bytes.
+func unitRecord(unit string, n int) *UnitRecord {
+	return &UnitRecord{
+		Unit:        unit,
+		Fingerprint: "ufp",
+		Report:      json.RawMessage(`{"unit":"` + unit + `"}`),
+		PathDB:      []byte(`{"target":"` + unit + `","pad":"` + strings.Repeat("p", n) + `"}`),
+	}
+}
+
+// TestStoreUnitReopenReplays: a unit verdict written to the persistent
+// tier replays the same header and path-database bytes through a second
+// Open of the directory.
+func TestStoreUnitReopenReplays(t *testing.T) {
+	dir := t.TempDir()
+	rec := unitRecord("u.c", 4<<10)
+	openStore(t, Options{Dir: dir}).PutUnit("key-unit", rec)
+
+	got := openStore(t, Options{Dir: dir}).GetUnit("key-unit", "u.c", "ufp")
+	if got == nil {
+		t.Fatal("persisted unit verdict missed after reopen")
+	}
+	if !bytes.Equal(got.Report, rec.Report) || !bytes.Equal(got.PathDB, rec.PathDB) {
+		t.Fatalf("unit verdict bytes drifted across reopen: report %s, %d path bytes", got.Report, len(got.PathDB))
+	}
+}
+
+// TestStoreUnitLargeEntryPrunesDisk: the prune trigger counts the path
+// database, not just the header. Two verdicts each past MaxBytes/4 must
+// each trigger a prune, and the second one finds the directory over budget.
+func TestStoreUnitLargeEntryPrunesDisk(t *testing.T) {
+	const maxBytes = 64 << 10
+	s := openStore(t, Options{Dir: t.TempDir(), MaxBytes: maxBytes})
+	s.PutUnit("key-u1", unitRecord("a.c", 40<<10))
+	s.PutUnit("key-u2", unitRecord("b.c", 40<<10))
+	if s.Stats().Pruned == 0 {
+		t.Fatal("writing 80KiB of unit verdicts into a 64KiB store pruned nothing")
+	}
+}
+
+// TestStoreUnitMemoryBounded: the memory tier's byte bound counts the path
+// database, so large unit verdicts evict each other instead of piling up.
+func TestStoreUnitMemoryBounded(t *testing.T) {
+	const maxBytes = 64 << 10
+	s := openStore(t, Options{MaxBytes: maxBytes})
+	for i := 0; i < 10; i++ {
+		s.PutUnit(fmt.Sprintf("key-u%d", i), unitRecord(fmt.Sprintf("u%d.c", i), 20<<10))
+	}
+	cs := s.CacheStats()
+	if cs.Bytes > maxBytes || cs.Evictions == 0 {
+		t.Fatalf("memory tier holds %d bytes with %d evictions, budget %d", cs.Bytes, cs.Evictions, maxBytes)
+	}
+	if s.GetUnit("key-u9", "u9.c", "ufp") == nil {
+		t.Fatal("newest unit verdict evicted")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pallas/internal/cluster"
+	"pallas/internal/incr"
 	"pallas/internal/metrics"
 	"pallas/internal/rcache"
 )
@@ -446,4 +447,44 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// captureTier is an incr.SharedTier that records the last entry put.
+type captureTier struct{ last *rcache.Entry }
+
+func (c *captureTier) Register(string, *rcache.Cache)           {}
+func (c *captureTier) Get(string, string) (*rcache.Entry, bool) { return nil, false }
+func (c *captureTier) Put(_ string, e *rcache.Entry) error      { c.last = e; return nil }
+
+// TestVerifyEntryIncrUnitRecord: a memo unit verdict — header in Report,
+// path database in Paths — crosses the wire intact under the end-to-end
+// checksum, and a sum that covers only the header is refused as rot.
+func TestVerifyEntryIncrUnitRecord(t *testing.T) {
+	ct := &captureTier{}
+	st, err := incr.Open(incr.Options{Registry: metrics.NewRegistry(), Shared: ct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := key64("ab")
+	pathdb := []byte(`{"target":"u.c","entries":{"f":{"Fn":"f"}}}`)
+	st.PutUnit(key, &incr.UnitRecord{Unit: "u.c", Fingerprint: "ufp", Report: json.RawMessage(`{"unit":"u.c"}`), PathDB: pathdb})
+	if ct.last == nil {
+		t.Fatal("unit verdict never reached the shared tier")
+	}
+
+	raw, _ := json.Marshal(ct.last)
+	got, ok := verifyEntry(key, raw)
+	if !ok || got == nil {
+		t.Fatalf("unit verdict refused by the wire check: ok=%v entry=%v", ok, got)
+	}
+	if string(got.Paths) != string(pathdb) {
+		t.Fatalf("path database drifted over the wire: %s", got.Paths)
+	}
+
+	mut := *ct.last
+	mut.Sum = rcache.ContentSum(mut.Report, nil)
+	raw, _ = json.Marshal(&mut)
+	if got, ok := verifyEntry(key, raw); ok || got != nil {
+		t.Fatal("entry whose sum skips the path database was accepted")
+	}
 }

@@ -58,10 +58,13 @@ type Entry struct {
 	Unit string `json:"unit"`
 	// Report is the marshaled report.Report JSON.
 	Report json.RawMessage `json:"report"`
-	// Paths is the marshaled path database of the producing analysis.
-	// Populated by cluster workers (whose completions must replay pathdb
-	// bytes as well as report bytes); empty for entries stored by plain
-	// serve/batch runs, which only replay reports.
+	// Paths is the marshaled path database of the producing analysis,
+	// kept out of Report so it is never re-encoded inside another JSON
+	// document. Populated by cluster workers (whose completions must replay
+	// pathdb bytes as well as report bytes) and by the incremental memo's
+	// whole-unit verdicts (internal/incr, where Report is the record
+	// header); empty for entries stored by plain serve/batch runs, which
+	// only replay reports, and for memo function records.
 	Paths json.RawMessage `json:"paths,omitempty"`
 	// Diagnostics preserves the degradation record of the producing run.
 	Diagnostics []guard.Diagnostic `json:"diagnostics,omitempty"`
