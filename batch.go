@@ -13,7 +13,6 @@ import (
 	"pallas/internal/failpoint"
 	"pallas/internal/guard"
 	"pallas/internal/journal"
-	"pallas/internal/metrics"
 	"pallas/internal/overload"
 	"pallas/internal/rcache"
 	"pallas/internal/report"
@@ -239,16 +238,6 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 	}
 	incrBefore, _ := a.IncrStats()
 	feasBefore := a.FeasStats()
-	// Batch mode shares the process-wide metrics registry with `pallas
-	// serve`, so a mixed deployment (CLI warming a server's cache) shows up
-	// in one scrape.
-	reg := metrics.Default
-	mAnalyzed := reg.Counter(MetricUnitsAnalyzed, "analysis pipeline executions (cache and resume misses)")
-	mDegraded := reg.Counter(MetricDegraded, "analyses that completed partially")
-	mQuarantined := reg.Counter(MetricQuarantined, "units quarantined after persistent transient failure")
-	mCacheHits := reg.Counter(MetricCacheHits, "result-cache hits")
-	mCacheMisses := reg.Counter(MetricCacheMisses, "result-cache misses")
-
 	out := make([]UnitResult, len(units))
 	var mu sync.Mutex
 	count := func(f func(*BatchStats)) {
@@ -295,17 +284,14 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 			if e, ok := cache.Get(key); ok {
 				replayCacheEntry(&out[i], e)
 				count(func(s *BatchStats) { s.CacheHits++ })
-				mCacheHits.Inc()
 				// A cache-replayed outcome is still checkpointed so -resume
 				// works against the journal alone.
 				journalOutcome(jr, &out[i], u.Name, hash, 0, out[i].Result, nil, false)
 				return nil
 			}
 			count(func(s *BatchStats) { s.CacheMisses++ })
-			mCacheMisses.Inc()
 		}
 		count(func(s *BatchStats) { s.Analyzed++ })
-		mAnalyzed.Inc()
 
 		transientFails := 0
 		for attempt := 1; ; attempt++ {
@@ -322,9 +308,6 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 				out[i].Diagnostics = res.Diagnostics
 				if attempt > 1 {
 					count(func(s *BatchStats) { s.Recovered++ })
-				}
-				if res.Degraded() {
-					mDegraded.Inc()
 				}
 				if cache != nil {
 					// Cache store failures degrade the unit's diagnostics,
@@ -372,7 +355,6 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 			if transient {
 				out[i].Quarantined = true
 				count(func(s *BatchStats) { s.Quarantined++ })
-				mQuarantined.Inc()
 			} else {
 				count(func(s *BatchStats) { s.Failed++ })
 			}
@@ -433,23 +415,6 @@ func journalOutcome(jr *journal.Journal, out *UnitResult, name, hash string, att
 			guard.Diag(guard.StageStore, name, jerr, true))
 	}
 }
-
-// Shared metric names. Batch mode and `pallas serve` record into the same
-// process-wide registry under these names, so one /metrics scrape covers
-// both; docs/PROTOCOL.md documents the full set.
-const (
-	// MetricUnitsAnalyzed counts real analysis pipeline executions (cache
-	// and resume misses).
-	MetricUnitsAnalyzed = "pallas_units_analyzed_total"
-	// MetricDegraded counts analyses that completed partially.
-	MetricDegraded = "pallas_degraded_total"
-	// MetricQuarantined counts units quarantined after persistent transient
-	// failure.
-	MetricQuarantined = "pallas_quarantined_total"
-	// MetricCacheHits / MetricCacheMisses count result-cache outcomes.
-	MetricCacheHits   = "pallas_cache_hits_total"
-	MetricCacheMisses = "pallas_cache_misses_total"
-)
 
 // storeCacheEntry persists a completed analysis under its cache key. The
 // stored report bytes are the single source for replay, so hits are

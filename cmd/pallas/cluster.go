@@ -120,6 +120,10 @@ func cmdCluster(args []string) error {
 	copts.JournalPath, copts.Resume, copts.GroupCommit = batch.JournalPath, batch.Resume, batch.JournalGroupCommit
 	copts.CacheReplicas = wcfg.CacheReplicas
 	copts.Logf = logf
+	// One registry per process: the coordinator's and the supervisor's
+	// counters, rendered by the status server's /metrics.
+	reg := metrics.NewRegistry()
+	copts.Metrics = reg
 	if copts.HedgeAfter <= 0 {
 		copts.HedgeAfter = -1 // flag convention: <=0 disables; Options convention: negative disables
 	}
@@ -134,7 +138,7 @@ func cmdCluster(args []string) error {
 			return err
 		}
 		defer sln.Close()
-		go http.Serve(sln, cluster.StatusHandler(coord, metrics.Default))
+		go http.Serve(sln, cluster.StatusHandler(coord, reg))
 		logf("cluster: status on http://%s", sln.Addr())
 	}
 
@@ -164,8 +168,9 @@ func cmdCluster(args []string) error {
 			OnExhausted: func(slot int, err error) {
 				logf("cluster: worker slot %d exhausted its restart budget (%v); it will not return", slot, err)
 			},
-			Stderr: os.Stderr,
-			Logf:   logf,
+			Stderr:  os.Stderr,
+			Metrics: reg,
+			Logf:    logf,
 		})
 		sup.Start(c.clusterWorkers)
 		defer sup.Stop()

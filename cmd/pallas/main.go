@@ -208,8 +208,17 @@ func cmdCheck(args []string) error {
 	if srv.cacheStats {
 		fmt.Fprintf(os.Stderr, "pallas: unit cache: %d hit(s), %d miss(es), %d analyzed\n",
 			stats.CacheHits, stats.CacheMisses, stats.Analyzed)
+		var is *incr.Stats
+		if st, ok := analyzer.IncrStats(); ok {
+			is = &st
+		}
+		var fst *pallas.FeasStats
 		tier, _ := feas.ParseTier(cfg.Precision)
-		printMemoAndFeas(os.Stderr, analyzer, tier, true)
+		if tier != feas.Fast {
+			st := analyzer.FeasStats()
+			fst = &st
+		}
+		printMemoAndFeas(os.Stderr, is, tier.String(), fst, true)
 	}
 	return exitStatus(exit)
 }
@@ -225,18 +234,12 @@ func printJournalRecovery(path string, tornTail bool, quarantined int) {
 	}
 }
 
-// statsSource is what the -cache-stats dumps read from a *pallas.Analyzer
-// (check) or a *server.Server (serve, worker).
-type statsSource interface {
-	IncrStats() (incr.Stats, bool)
-	FeasStats() pallas.FeasStats
-}
-
 // printMemoAndFeas writes the function-memo and feasibility lines of the
-// -cache-stats dumps; withReuse appends the memo's reuse percentage, which
-// only check reports.
-func printMemoAndFeas(w io.Writer, src statsSource, tier feas.Tier, withReuse bool) {
-	if is, ok := src.IncrStats(); !ok {
+// -cache-stats dumps: is is nil when the memo is off, fst nil on the fast
+// tier (precision names the tier otherwise). withReuse appends the memo's
+// reuse percentage, which only check reports.
+func printMemoAndFeas(w io.Writer, is *incr.Stats, precision string, fst *pallas.FeasStats, withReuse bool) {
+	if is == nil {
 		fmt.Fprintln(w, "pallas: func memo: off (enable with -incr-dir)")
 	} else {
 		fmt.Fprintf(w, "pallas: func memo: %d hit(s), %d miss(es), %d invalidation(s); unit verdicts: %d hit(s), %d miss(es)",
@@ -251,10 +254,9 @@ func printMemoAndFeas(w io.Writer, src statsSource, tier feas.Tier, withReuse bo
 		}
 		fmt.Fprintln(w)
 	}
-	if tier != feas.Fast {
-		fst := src.FeasStats()
+	if fst != nil {
 		fmt.Fprintf(w, "pallas: feas (%s): %d path(s) pruned, %d contradiction(s)\n",
-			tier, fst.Pruned, fst.Contradictions)
+			precision, fst.Pruned, fst.Contradictions)
 	} else {
 		fmt.Fprintln(w, "pallas: feas: off (fast tier; enable with -precision balanced|strict)")
 	}

@@ -12,6 +12,7 @@ import (
 	"syscall"
 
 	"pallas/internal/cluster"
+	"pallas/internal/metrics"
 	"pallas/internal/server"
 )
 
@@ -42,6 +43,7 @@ func cmdServe(cmd string, args []string) error {
 	if !worker {
 		cfg.CacheSelf = f.addr
 	}
+	cfg.Metrics = metrics.NewRegistry() // the process's one server registry
 	srv, err := server.New(cfg)
 	if err != nil {
 		return err
@@ -83,27 +85,27 @@ func cmdServe(cmd string, args []string) error {
 	if err := <-drained; err != nil {
 		return fmt.Errorf("%s: drain incomplete: %w", cmd, err)
 	}
-	st := srv.Cache().Stats()
+	snap := srv.Snapshot()
 	fmt.Fprintf(os.Stderr, "pallas: %s: drained cleanly (%d analyses, %d cache hits)\n",
-		cmd, st.Computes, st.Hits)
+		cmd, snap.Cache.Computes, snap.Cache.Hits)
 	if f.server.cacheStats {
-		printServerCacheStats(os.Stderr, srv)
+		printCacheStats(os.Stderr, snap)
 	}
 	srv.Close()
 	return nil
 }
 
-// printServerCacheStats renders the serve/worker -cache-stats exit dump: the
-// unit result cache, the function memo, the feasibility layer, and the
-// shared peer tier — the same numbers /healthz?verbose=1 reports, without
-// scraping.
-func printServerCacheStats(w io.Writer, srv *server.Server) {
-	cs := srv.Cache().Stats()
+// printCacheStats renders the serve/worker -cache-stats exit dump from the
+// server's snapshot — the one /healthz?verbose=1 encodes as JSON: the unit
+// result cache, the function memo, the feasibility layer, and the shared
+// peer tier.
+func printCacheStats(w io.Writer, snap server.Health) {
+	cs := snap.Cache
 	fmt.Fprintf(w, "pallas: unit cache: %d hit(s) (%d mem, %d disk), %d miss(es), %d compute(s), %d disk-full prune(s)\n",
 		cs.Hits, cs.MemHits, cs.DiskHits, cs.Misses, cs.Computes, cs.DiskFullPrunes)
-	printMemoAndFeas(w, srv, srv.FeasTier(), false)
-	ps := srv.PeerTier().Stats()
-	if ps.Peers == 0 && ps.Epoch == 0 {
+	printMemoAndFeas(w, snap.Incr, snap.Precision, snap.Feas, false)
+	ps := snap.PeerCache
+	if ps == nil {
 		fmt.Fprintln(w, "pallas: peer cache: off (enable with -cache-peers or cluster mode)")
 		return
 	}

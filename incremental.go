@@ -66,6 +66,7 @@ func (a *Analyzer) incrOpen() (*incr.Store, error) {
 		a.incrMemo, a.incrErr = incr.Open(incr.Options{
 			Dir:      a.cfg.Incremental.Dir,
 			MaxBytes: a.cfg.Incremental.MaxBytes,
+			Registry: a.reg,
 			Shared:   a.cfg.Incremental.Shared,
 		})
 	})

@@ -85,7 +85,8 @@ type Options struct {
 	// CacheReplicas is the tier's replication factor, forwarded in the peer
 	// map. <= 0 means the tier default.
 	CacheReplicas int
-	// Metrics receives the cluster instruments; nil means metrics.Default.
+	// Metrics holds the cluster instruments, which are also what Stats
+	// reads; nil means a registry of the coordinator's own.
 	Metrics *metrics.Registry
 	// Logf, when non-nil, receives progress lines (evictions, requeues,
 	// hedges, probations, rejected completions) — the CLI points it at
@@ -126,7 +127,9 @@ type Outcome struct {
 	CacheHit bool
 }
 
-// Stats summarizes one cluster run.
+// Stats summarizes one cluster run. The per-outcome tallies (Units through
+// CacheHits) and journal recovery are the coordinator's own; every other
+// counter is read from its registry.
 type Stats struct {
 	Units           int
 	Completed       int
@@ -233,7 +236,6 @@ type workerState struct {
 type Coordinator struct {
 	opts   Options
 	client *http.Client
-	reg    *metrics.Registry
 	jr     *journal.Journal
 
 	mu        sync.Mutex
@@ -312,12 +314,11 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	}
 	reg := opts.Metrics
 	if reg == nil {
-		reg = metrics.Default
+		reg = metrics.NewRegistry()
 	}
 	c := &Coordinator{
 		opts:    opts,
 		client:  opts.Client,
-		reg:     reg,
 		ring:    NewRing(),
 		workers: map[string]*workerState{},
 
@@ -481,7 +482,7 @@ func (c *Coordinator) Run(ctx context.Context, units []pallas.Unit) ([]Outcome, 
 	c.mu.Lock()
 	if c.running || c.closed {
 		c.mu.Unlock()
-		return nil, c.stats, errors.New("cluster: Run called twice")
+		return nil, c.statsLocked(), errors.New("cluster: Run called twice")
 	}
 	c.running = true
 	c.runCtx, c.runCancel = context.WithCancel(ctx)
@@ -547,8 +548,7 @@ func (c *Coordinator) Run(ctx context.Context, units []pallas.Unit) ([]Outcome, 
 	}
 	// The returned snapshot carries the same latency quantiles Stats()
 	// reports, so callers need not race a second call after Run returns.
-	final := c.stats
-	final.LatencyP50MS, final.LatencyP95MS, final.LatencyP99MS = c.latQuantilesLocked()
+	final := c.statsLocked()
 	if err != nil {
 		return out, final, fmt.Errorf("cluster: run failed: %w", err)
 	}
@@ -974,7 +974,6 @@ func (c *Coordinator) transportFail(w *workerState, t *task, ls *lease, err erro
 		return
 	}
 	w.misses++
-	c.stats.HeartbeatMisses++
 	w.hbMisses++
 	c.mHBMisses.Inc()
 	w.h.observeError()
@@ -1000,7 +999,6 @@ func (c *Coordinator) backpressured(w *workerState, t *task, ls *lease, retryAft
 			t.attempts-- // admission was refused; the analysis never started
 		}
 		w.pausedUntil = time.Now().Add(retryAfter)
-		c.stats.Backpressure++
 		c.mBackpress.Inc()
 		c.requeueShedLocked(t)
 	}
@@ -1079,7 +1077,6 @@ func (c *Coordinator) complete(w *workerState, t *task, ls *lease, p ResultPaylo
 		Degraded: p.Degraded, Warnings: p.Warnings, CacheHit: p.Cache == "hit",
 	}
 	if ls.hedge {
-		c.stats.HedgeWins++
 		c.mHedgeWins.Inc()
 		c.logf("cluster: hedge won %s on %s (epoch %d)", t.unit.Name, w.addr, ls.epoch)
 	}
@@ -1109,7 +1106,6 @@ func siblings(t *task) []*lease {
 // fence. Caller holds c.mu; this releases it.
 func (c *Coordinator) rejectCompletionLocked(w *workerState, t *task, ls *lease) {
 	if t.outcome != nil {
-		c.stats.DupCompletions++
 		c.mDups.Inc()
 		c.cond.Broadcast()
 		c.mu.Unlock()
@@ -1117,7 +1113,6 @@ func (c *Coordinator) rejectCompletionLocked(w *workerState, t *task, ls *lease)
 			t.unit.Name, t.hash, w.addr)
 		return
 	}
-	c.stats.StaleCompletions++
 	c.mStale.Inc()
 	c.cond.Broadcast()
 	c.mu.Unlock()
@@ -1184,7 +1179,6 @@ func (c *Coordinator) integrityFail(w *workerState, t *task, ls *lease, want, go
 	}
 	w.h.observeError()
 	w.integrityFails++
-	c.stats.IntegrityFailures++
 	c.mIntegrity.Inc()
 	if !ls.hedge {
 		t.attempts--
@@ -1222,7 +1216,6 @@ func (c *Coordinator) requeueIfUnheldLocked(w *workerState, t *task, err error) 
 	}
 	t.owner = ""
 	t.notBefore = time.Now().Add(backoff.Delay(c.opts.RetryBackoff, t.attempts))
-	c.stats.Requeues++
 	c.mRequeues.Inc()
 	w.requeues++
 	c.enqueueLocked(t, w.addr)
@@ -1272,7 +1265,6 @@ func (c *Coordinator) evictLocked(w *workerState, reason error) {
 	w.live = false
 	close(w.stop)
 	c.ring.Remove(w.addr)
-	c.stats.Evictions++
 	c.mEvictions.Inc()
 	c.gWorkersLive.Set(c.liveCountLocked())
 	c.pushPeerMapLocked()
@@ -1313,7 +1305,6 @@ func (c *Coordinator) evictLocked(w *workerState, reason error) {
 			continue
 		}
 		t.owner = ""
-		c.stats.Requeues++
 		c.mRequeues.Inc()
 		w.requeues++
 		c.enqueueLocked(t, w.addr)
@@ -1348,7 +1339,6 @@ func (c *Coordinator) heartbeatLoop(w *workerState) {
 		} else {
 			w.misses++
 			w.hbMisses++
-			c.stats.HeartbeatMisses++
 			c.mHBMisses.Inc()
 			if w.misses >= c.opts.HeartbeatMisses {
 				c.evictLocked(w, fmt.Errorf("%d consecutive heartbeat misses", w.misses))
@@ -1383,7 +1373,21 @@ func (c *Coordinator) ping(w *workerState) bool {
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.statsLocked()
+}
+
+func (c *Coordinator) statsLocked() Stats {
 	s := c.stats
+	s.Requeues = int(c.mRequeues.Value())
+	s.Evictions = int(c.mEvictions.Value())
+	s.HeartbeatMisses = int(c.mHBMisses.Value())
+	s.DupCompletions = int(c.mDups.Value())
+	s.Backpressure = int(c.mBackpress.Value())
+	s.Hedges = int(c.mHedges.Value())
+	s.HedgeWins = int(c.mHedgeWins.Value())
+	s.StaleCompletions = int(c.mStale.Value())
+	s.IntegrityFailures = int(c.mIntegrity.Value())
+	s.Probations = int(c.mProbations.Value())
 	s.LatencyP50MS, s.LatencyP95MS, s.LatencyP99MS = c.latQuantilesLocked()
 	return s
 }

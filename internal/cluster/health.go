@@ -117,7 +117,6 @@ func (c *Coordinator) updateHealthLocked(now time.Time) {
 		switch {
 		case !w.h.probation && s < healthDemote:
 			w.h.probation = true
-			c.stats.Probations++
 			c.mProbations.Inc()
 			c.logf("cluster: worker %s demoted to probation (score %.2f: lat %.1fms, err %.2f, beat %.2f)",
 				w.addr, s, w.h.latEWMA, w.h.errEWMA, hb)

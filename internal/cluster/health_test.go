@@ -48,8 +48,8 @@ func TestHealthScoreProbationHysteresis(t *testing.T) {
 	if !c.hasHealthyLocked("b:1") {
 		t.Fatal("hasHealthy excluding the probation worker must be true")
 	}
-	if c.stats.Probations != 1 {
-		t.Fatalf("probations counted: %d, want 1", c.stats.Probations)
+	if got := c.Stats().Probations; got != 1 {
+		t.Fatalf("probations counted: %d, want 1", got)
 	}
 
 	// Partial recovery inside the hysteresis band: still on probation.

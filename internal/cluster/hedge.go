@@ -72,7 +72,6 @@ func (c *Coordinator) hedgeScanLocked(now time.Time) {
 			continue
 		}
 		t.hedges++
-		c.stats.Hedges++
 		c.mHedges.Inc()
 		nls := c.newLeaseLocked(t, hw, true)
 		c.logf("cluster: hedging %s (in flight %dms on %s, threshold %s) to %s (epoch %d)",

@@ -51,7 +51,8 @@ type SupervisorOptions struct {
 	// Stderr receives the workers' stderr output (after the listen line);
 	// nil discards it.
 	Stderr io.Writer
-	// Metrics receives the restart counter; nil means metrics.Default.
+	// Metrics receives the restart counter; nil means a registry of the
+	// supervisor's own.
 	Metrics *metrics.Registry
 	// Logf, when non-nil, receives supervisor progress lines.
 	Logf func(format string, args ...any)
@@ -63,7 +64,6 @@ type SupervisorOptions struct {
 // fleet; Stop kills it.
 type Supervisor struct {
 	opts SupervisorOptions
-	reg  *metrics.Registry
 
 	mu      sync.Mutex
 	slots   []*workerSlot
@@ -94,11 +94,10 @@ func NewSupervisor(opts SupervisorOptions) *Supervisor {
 	}
 	reg := opts.Metrics
 	if reg == nil {
-		reg = metrics.Default
+		reg = metrics.NewRegistry()
 	}
 	return &Supervisor{
 		opts:      opts,
-		reg:       reg,
 		mRestarts: reg.Counter(metrics.MetricClusterWorkerRestarts, "worker processes restarted after a crash"),
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pallas/internal/metrics"
@@ -89,8 +88,8 @@ type Options struct {
 	// and the persistent tier's total size (oldest entries pruned once the
 	// directory outgrows it). <= 0 means DefaultMaxBytes.
 	MaxBytes int64
-	// Registry receives the pallas_incr_* instruments; nil means
-	// metrics.Default.
+	// Registry holds the pallas_incr_* instruments, which are also what
+	// Stats reads; nil means a registry of the store's own.
 	Registry *metrics.Registry
 	// Shared, when non-nil, routes memo reads and writes through the
 	// cluster's shared cache tier: the store's own tiers stay the local
@@ -126,20 +125,13 @@ type Store struct {
 	dir      string
 	maxBytes int64
 
-	funcHits          atomic.Int64
-	funcMisses        atomic.Int64
-	funcInvalidations atomic.Int64
-	unitHits          atomic.Int64
-	unitMisses        atomic.Int64
-	pruned            atomic.Int64
-
 	mu                sync.Mutex
 	lastFP            map[string]string // unit\x00fn → last lookup fingerprint
 	writtenSincePrune int64
 	pruning           bool
 
 	mFuncHits, mFuncMisses, mFuncInval *metrics.Counter
-	mUnitHits, mUnitMisses             *metrics.Counter
+	mUnitHits, mUnitMisses, mPruned    *metrics.Counter
 	mRatio                             *metrics.Gauge
 }
 
@@ -154,7 +146,7 @@ func Open(o Options) (*Store, error) {
 	}
 	reg := o.Registry
 	if reg == nil {
-		reg = metrics.Default
+		reg = metrics.NewRegistry()
 	}
 	s := &Store{
 		cache:    c,
@@ -168,6 +160,7 @@ func Open(o Options) (*Store, error) {
 		mFuncInval:  reg.Counter(metrics.MetricIncrFuncInvalidations, "function memo entries invalidated by a fingerprint change"),
 		mUnitHits:   reg.Counter(metrics.MetricIncrUnitHits, "whole-unit verdict replays"),
 		mUnitMisses: reg.Counter(metrics.MetricIncrUnitMisses, "whole-unit verdict lookups that missed"),
+		mPruned:     reg.Counter(metrics.MetricIncrPruned, "persistent memo files pruned to hold the byte bound"),
 		mRatio:      reg.Gauge(metrics.MetricIncrReuseRatio, "memo reuse ratio x1000 (hits / lookups)"),
 	}
 	if s.shared != nil {
@@ -255,10 +248,8 @@ func (s *Store) PutFunc(key, unit, fn, fingerprint string, fp *paths.FuncPaths) 
 func (s *Store) GetUnit(key, unit, fingerprint string) *UnitRecord {
 	rec := s.loadUnit(key, unit, fingerprint)
 	if rec != nil {
-		s.unitHits.Add(1)
 		s.mUnitHits.Inc()
 	} else {
-		s.unitMisses.Add(1)
 		s.mUnitMisses.Inc()
 	}
 	s.updateRatio()
@@ -308,15 +299,16 @@ func (s *Store) PutUnit(key string, rec *UnitRecord) {
 	s.noteWrite(int64(len(b) + len(rec.PathDB)))
 }
 
-// Stats returns a snapshot of memo activity since Open.
+// Stats reads the store's registry counters: memo activity since the
+// registry was created (since Open, for a registry of the store's own).
 func (s *Store) Stats() Stats {
 	return Stats{
-		FuncHits:          s.funcHits.Load(),
-		FuncMisses:        s.funcMisses.Load(),
-		FuncInvalidations: s.funcInvalidations.Load(),
-		UnitHits:          s.unitHits.Load(),
-		UnitMisses:        s.unitMisses.Load(),
-		Pruned:            s.pruned.Load(),
+		FuncHits:          s.mFuncHits.Value(),
+		FuncMisses:        s.mFuncMisses.Value(),
+		FuncInvalidations: s.mFuncInval.Value(),
+		UnitHits:          s.mUnitHits.Value(),
+		UnitMisses:        s.mUnitMisses.Value(),
+		Pruned:            s.mPruned.Value(),
 	}
 }
 
@@ -334,22 +326,19 @@ func (s *Store) trackFunc(unit, fn, fingerprint string, hit bool) {
 	s.lastFP[slot] = fingerprint
 	s.mu.Unlock()
 	if seen && prev != fingerprint {
-		s.funcInvalidations.Add(1)
 		s.mFuncInval.Inc()
 	}
 	if hit {
-		s.funcHits.Add(1)
 		s.mFuncHits.Inc()
 	} else {
-		s.funcMisses.Add(1)
 		s.mFuncMisses.Inc()
 	}
 	s.updateRatio()
 }
 
 func (s *Store) updateRatio() {
-	hits := s.funcHits.Load() + s.unitHits.Load()
-	total := hits + s.funcMisses.Load() + s.unitMisses.Load()
+	hits := s.mFuncHits.Value() + s.mUnitHits.Value()
+	total := hits + s.mFuncMisses.Value() + s.mUnitMisses.Value()
 	if total > 0 {
 		s.mRatio.Set(hits * 1000 / total)
 	}
@@ -416,7 +405,7 @@ func (s *Store) prune() {
 		}
 		if os.Remove(f.path) == nil {
 			total -= f.size
-			s.pruned.Add(1)
+			s.mPruned.Inc()
 		}
 	}
 }

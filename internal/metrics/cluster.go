@@ -1,11 +1,11 @@
 package metrics
 
-// Cluster metric names. The coordinator (internal/cluster) registers these
-// in its registry (metrics.Default for the CLI, so one scrape of the
-// coordinator's -status-addr covers the whole run); they are declared here,
-// next to the registry, so the full cluster instrument set is discoverable
-// in one place and name collisions with server/batch metrics are avoided by
-// inspection.
+// Cluster metric names. The coordinator and supervisor (internal/cluster)
+// register these in one registry per `pallas cluster` process, which its
+// -status-addr /metrics renders, so one scrape covers the whole run; they
+// are declared here, next to the registry, so the full cluster instrument
+// set is discoverable in one place and name collisions with server metrics
+// are avoided by inspection.
 const (
 	// MetricClusterWorkersLive gauges workers currently live (registered,
 	// heartbeating, not evicted).

@@ -1,11 +1,11 @@
 package metrics
 
-// Feasibility-layer metric names. The path extractor (internal/paths)
-// registers these in metrics.Default when the balanced or strict precision
-// tier discards an infeasible path continuation, so one /metrics scrape of
-// a serve, worker, or batch process shows how much work the feasibility
-// layer (internal/feas) avoided. Declared here, next to the registry, like
-// the incremental and cluster sets.
+// Feasibility-layer metric names. The analyzer (pallas.New) registers these
+// in its own registry at every precision tier and counts each analysis's
+// pruned paths and contradictions there, memo replays included; a server's
+// /metrics renders that registry after its own, so one scrape shows how much
+// work the feasibility layer (internal/feas) avoided. Declared here, next to
+// the registry, like the incremental and cluster sets.
 const (
 	// MetricFeasPathsPruned counts path continuations discarded because the
 	// branch conditions accumulated along them were mutually contradictory.
@@ -15,11 +15,4 @@ const (
 	// MetricFeasContradictions counts contradictory condition accumulations
 	// the feasibility layer detected during path walks.
 	MetricFeasContradictions = "pallas_feas_contradictions_total"
-)
-
-// Help strings, shared by the writer (internal/paths) and every reader so
-// the idempotent registration always agrees.
-const (
-	HelpFeasPathsPruned    = "Path continuations discarded as infeasible by the feasibility layer."
-	HelpFeasContradictions = "Contradictory branch-condition accumulations detected during path walks."
 )

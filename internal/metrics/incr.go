@@ -1,9 +1,10 @@
 package metrics
 
 // Incremental-analysis metric names. The memo store (internal/incr)
-// registers these in metrics.Default, so one /metrics scrape of a serve,
-// worker, or batch process shows how much re-analysis the function-level
-// memo avoided. Declared here, next to the registry, like the cluster set.
+// registers these in the registry it is opened on — the analyzer's own — so
+// one /metrics scrape of a serve or worker process shows how much
+// re-analysis the function-level memo avoided. Declared here, next to the
+// registry, like the cluster set.
 const (
 	// MetricIncrFuncHits counts per-function memo lookups answered from the
 	// store (the function's paths were replayed, not re-extracted).
@@ -21,6 +22,9 @@ const (
 	MetricIncrUnitHits = "pallas_incr_unit_hits_total"
 	// MetricIncrUnitMisses counts whole-unit verdict lookups that missed.
 	MetricIncrUnitMisses = "pallas_incr_unit_misses_total"
+	// MetricIncrPruned counts persistent-tier memo files removed to hold
+	// the store's byte bound.
+	MetricIncrPruned = "pallas_incr_pruned_total"
 	// MetricIncrReuseRatio gauges the memo's reuse ratio ×1000: hits /
 	// (hits + misses) over all function and unit lookups since the store
 	// opened. 1000 means every lookup was served from the memo.

@@ -1,8 +1,9 @@
-// Package metrics is a small, stdlib-only metrics registry shared by the
-// analysis server and batch mode. It exposes exactly the three instrument
-// kinds the system needs — monotonic counters, gauges, and fixed-bucket
-// histograms — and renders them in the Prometheus text exposition format, so
-// `pallas serve`'s /metrics endpoint can be scraped by standard tooling
+// Package metrics is a small, stdlib-only metrics registry: the one counter
+// store behind the analysis server, the analyzer, the memo, the peer tier
+// and the cluster coordinator. It exposes exactly the three instrument kinds
+// the system needs — monotonic counters, gauges, and fixed-bucket
+// histograms — and renders them in the Prometheus text exposition format,
+// so `pallas serve`'s /metrics endpoint can be scraped by standard tooling
 // without pulling in a client library.
 //
 // All instruments are safe for concurrent use and cheap enough for hot
@@ -109,7 +110,10 @@ type instrument struct {
 
 // Registry holds named instruments. Registration is idempotent: asking for
 // an existing name returns the existing instrument, so independent layers
-// (server handlers, batch mode) can share one metric by agreeing on a name.
+// (the server and its peer tier) can share one metric by agreeing on a name.
+// There is no process-global registry: each component that counts takes one
+// at construction (nil meaning a fresh registry of its own), and its Stats()
+// snapshot reads the same counters its /metrics exposition renders.
 type Registry struct {
 	mu    sync.Mutex
 	by    map[string]*instrument
@@ -120,10 +124,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{by: map[string]*instrument{}}
 }
-
-// Default is the process-wide registry. Batch mode records into it when no
-// registry is injected; `pallas serve` exposes it at /metrics.
-var Default = NewRegistry()
 
 func (r *Registry) lookup(name, help string, k kind) *instrument {
 	r.mu.Lock()

@@ -1,7 +1,7 @@
 package metrics
 
 // Shared cache tier metric names. The peer tier (internal/rcache/peer)
-// registers these in its registry (metrics.Default on workers and serve, so
+// registers these in its registry (the server's, on workers and serve, so
 // one scrape shows how much the cluster-wide cache saved versus what it
 // cost); declared here, next to the registry, like the cluster and incr
 // sets.
@@ -36,6 +36,9 @@ const (
 	// crossed its consecutive-failure threshold and its ops are skipped
 	// until the cooldown probe succeeds).
 	MetricPeerBreakerTrips = "pallas_peer_breaker_trips_total"
+	// MetricPeerBreakerSkips counts remote ops skipped because the peer's
+	// breaker was open.
+	MetricPeerBreakerSkips = "pallas_peer_breaker_skips_total"
 	// MetricPeerHandoffQueued counts writes owed to an unreachable peer that
 	// were queued locally as hints.
 	MetricPeerHandoffQueued = "pallas_peer_handoff_queued_total"

@@ -13,7 +13,6 @@ import (
 	"pallas/internal/ctok"
 	"pallas/internal/feas"
 	"pallas/internal/guard"
-	"pallas/internal/metrics"
 	"pallas/internal/sym"
 )
 
@@ -179,8 +178,6 @@ func (ex *Extractor) Extract(name string) (*FuncPaths, error) {
 	if fp.Pruned > 0 || fs.Contradictions() > 0 {
 		ex.feasPruned.Add(int64(fp.Pruned))
 		ex.feasContra.Add(fs.Contradictions())
-		metrics.Default.Counter(metrics.MetricFeasPathsPruned, metrics.HelpFeasPathsPruned).Add(int64(fp.Pruned))
-		metrics.Default.Counter(metrics.MetricFeasContradictions, metrics.HelpFeasContradictions).Add(fs.Contradictions())
 	}
 	return fp, nil
 }

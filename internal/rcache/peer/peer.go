@@ -111,15 +111,16 @@ type Options struct {
 	// BreakerCooldown is how long a tripped peer stays skipped before one
 	// probe operation is allowed through.
 	BreakerCooldown time.Duration
-	// Registry receives the pallas_peer_* instruments; nil means
-	// metrics.Default.
+	// Registry holds the pallas_peer_* instruments, which are also what
+	// Stats reads; nil means a registry of the tier's own.
 	Registry *metrics.Registry
 	// Client is the HTTP client for peer ops; nil builds one with sane
 	// pooled-connection defaults.
 	Client *http.Client
 }
 
-// Stats is a point-in-time snapshot of tier activity.
+// Stats is a point-in-time snapshot of tier activity: the counters are read
+// from the tier's registry, the queue and ring fields from its live state.
 type Stats struct {
 	// Hits counts lookups answered by a remote peer after verification.
 	Hits int64
@@ -139,7 +140,8 @@ type Stats struct {
 	// BreakerSkips counts remote ops skipped because the peer's breaker was
 	// open.
 	BreakerSkips int64
-	// BreakerTrips counts per-peer breaker openings.
+	// BreakerTrips counts per-peer breaker openings, including those of
+	// peers a later Update removed.
 	BreakerTrips int64
 	// HandoffQueued / HandoffDrained / HandoffDropped count hinted-handoff
 	// writes queued for an unreachable peer, delivered after it returned,
@@ -191,7 +193,7 @@ type Tier struct {
 	replicas int
 	epoch    int64
 	peers    map[string]*peerState
-	stats    Stats
+	hintSize int64 // bytes queued across every peer's hints
 	closed   bool
 
 	drainStop chan struct{}
@@ -199,7 +201,8 @@ type Tier struct {
 
 	mHits, mMisses, mRot, mRepairs      *metrics.Counter
 	mPuts, mPutBytes, mTimeouts, mTrips *metrics.Counter
-	mQueued, mDrained, mDropped, mStale *metrics.Counter
+	mSkips, mQueued, mDrained, mDropped *metrics.Counter
+	mStale                              *metrics.Counter
 	mEpoch                              *metrics.Gauge
 }
 
@@ -222,7 +225,7 @@ func New(local *rcache.Cache, opts Options) *Tier {
 	}
 	reg := opts.Registry
 	if reg == nil {
-		reg = metrics.Default
+		reg = metrics.NewRegistry()
 	}
 	client := opts.Client
 	if client == nil {
@@ -253,6 +256,7 @@ func New(local *rcache.Cache, opts Options) *Tier {
 		mPutBytes: reg.Counter(metrics.MetricPeerPutBytes, "payload bytes shipped in replicated writes"),
 		mTimeouts: reg.Counter(metrics.MetricPeerTimeouts, "peer ops abandoned at the per-op deadline"),
 		mTrips:    reg.Counter(metrics.MetricPeerBreakerTrips, "per-peer circuit breaker trips"),
+		mSkips:    reg.Counter(metrics.MetricPeerBreakerSkips, "peer ops skipped while the peer's breaker was open"),
 		mQueued:   reg.Counter(metrics.MetricPeerHandoffQueued, "writes queued as hints for an unreachable peer"),
 		mDrained:  reg.Counter(metrics.MetricPeerHandoffDrained, "hints delivered after their peer returned"),
 		mDropped:  reg.Counter(metrics.MetricPeerHandoffDropped, "hints dropped to the handoff byte bound"),
@@ -320,11 +324,8 @@ func (t *Tier) Update(pm cluster.PeerMap) bool {
 	}
 	for addr, ps := range t.peers {
 		if _, kept := next[addr]; !kept {
-			t.stats.HandoffDropped += int64(len(ps.hints))
-			t.stats.HandoffBytes -= ps.bytes
-			for range ps.hints {
-				t.mDropped.Inc()
-			}
+			t.hintSize -= ps.bytes
+			t.mDropped.Add(int64(len(ps.hints)))
 		}
 	}
 	t.peers = next
@@ -355,13 +356,10 @@ func (t *Tier) Close() {
 	}
 	t.closed = true
 	for _, ps := range t.peers {
-		t.stats.HandoffDropped += int64(len(ps.hints))
-		for range ps.hints {
-			t.mDropped.Inc()
-		}
-		t.stats.HandoffBytes -= ps.bytes
+		t.mDropped.Add(int64(len(ps.hints)))
 		ps.hints, ps.bytes = nil, 0
 	}
+	t.hintSize = 0
 	t.mu.Unlock()
 	close(t.drainStop)
 	<-t.drainDone
@@ -369,18 +367,30 @@ func (t *Tier) Close() {
 
 // Stats returns a snapshot of tier activity.
 func (t *Tier) Stats() Stats {
+	s := Stats{
+		Hits:           t.mHits.Value(),
+		Misses:         t.mMisses.Value(),
+		RotRefusals:    t.mRot.Value(),
+		Repairs:        t.mRepairs.Value(),
+		Puts:           t.mPuts.Value(),
+		PutBytes:       t.mPutBytes.Value(),
+		Timeouts:       t.mTimeouts.Value(),
+		BreakerSkips:   t.mSkips.Value(),
+		BreakerTrips:   t.mTrips.Value(),
+		HandoffQueued:  t.mQueued.Value(),
+		HandoffDrained: t.mDrained.Value(),
+		HandoffDropped: t.mDropped.Value(),
+		StaleRefusals:  t.mStale.Value(),
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.stats
+	s.HandoffBytes = t.hintSize
 	s.Epoch = t.epoch
 	if t.ring != nil {
 		s.Peers = t.ring.Len()
 	}
 	for _, ps := range t.peers {
 		s.HandoffPending += len(ps.hints)
-		if ps.breaker != nil {
-			s.BreakerTrips += ps.breaker.Trips()
-		}
 	}
 	return s
 }
@@ -451,14 +461,13 @@ func (t *Tier) FetchRemote(space, key string) (*rcache.Entry, bool) {
 			continue
 		}
 		if ps.breaker != nil && !ps.breaker.Allow() {
-			t.count(func(s *Stats) { s.BreakerSkips++ })
+			t.mSkips.Inc()
 			continue
 		}
 		e, outcome := t.fetch(addr, space, key, epoch)
 		t.settle(ps, outcome)
 		switch outcome {
 		case fetchHit:
-			t.count(func(s *Stats) { s.Hits++ })
 			t.mHits.Inc()
 			t.readRepair(space, key, e, repair, epoch)
 			return e, true
@@ -466,7 +475,6 @@ func (t *Tier) FetchRemote(space, key string) (*rcache.Entry, bool) {
 			repair = append(repair, addr)
 		}
 	}
-	t.count(func(s *Stats) { s.Misses++ })
 	t.mMisses.Inc()
 	return nil, false
 }
@@ -511,14 +519,13 @@ func (t *Tier) replicate(addr, space, key string, entry []byte, epoch int64) {
 		return
 	}
 	if ps.breaker != nil && !ps.breaker.Allow() {
-		t.count(func(s *Stats) { s.BreakerSkips++ })
+		t.mSkips.Inc()
 		t.enqueueHint(addr, &hint{space: space, key: key, entry: entry})
 		return
 	}
 	outcome := t.sendPut(addr, space, key, entry, epoch)
 	t.settle(ps, outcome)
 	if outcome == fetchHit {
-		t.count(func(s *Stats) { s.Puts++; s.PutBytes += int64(len(entry)) })
 		t.mPuts.Inc()
 		t.mPutBytes.Add(int64(len(entry)))
 		return
@@ -547,7 +554,6 @@ func (t *Tier) readRepair(space, key string, e *rcache.Entry, owed []string, epo
 		outcome := t.sendPut(addr, space, key, b, epoch)
 		t.settle(ps, outcome)
 		if outcome == fetchHit {
-			t.count(func(s *Stats) { s.Repairs++ })
 			t.mRepairs.Inc()
 		}
 	}
@@ -557,12 +563,6 @@ func (t *Tier) peer(addr string) *peerState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.peers[addr]
-}
-
-func (t *Tier) count(f func(*Stats)) {
-	t.mu.Lock()
-	f(&t.stats)
-	t.mu.Unlock()
 }
 
 // settle records an op outcome against the peer's breaker. Hits and misses
@@ -624,7 +624,6 @@ func (t *Tier) fetch(addr, space, key string, epoch int64) (*rcache.Entry, int) 
 	resp, err := t.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			t.count(func(s *Stats) { s.Timeouts++ })
 			t.mTimeouts.Inc()
 		}
 		return nil, fetchErr
@@ -643,7 +642,6 @@ func (t *Tier) fetch(addr, space, key string, epoch int64) (*rcache.Entry, int) 
 	var pe cluster.PeerEntryPayload
 	if err := cluster.DecodeFrame(resp.Body, cluster.FramePeerEntry, &pe); err != nil {
 		if ctx.Err() != nil {
-			t.count(func(s *Stats) { s.Timeouts++ })
 			t.mTimeouts.Inc()
 			return nil, fetchErr
 		}
@@ -654,7 +652,6 @@ func (t *Tier) fetch(addr, space, key string, epoch int64) (*rcache.Entry, int) 
 	}
 	e, ok := verifyEntry(key, pe.Entry)
 	if !ok {
-		t.count(func(s *Stats) { s.RotRefusals++ })
 		t.mRot.Inc()
 		return nil, fetchRot
 	}
@@ -709,7 +706,6 @@ func (t *Tier) sendPut(addr, space, key string, entry []byte, epoch int64) int {
 	resp, err := t.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			t.count(func(s *Stats) { s.Timeouts++ })
 			t.mTimeouts.Inc()
 		}
 		return fetchErr
@@ -741,17 +737,16 @@ func (t *Tier) enqueueHint(addr string, h *hint) {
 	for i, old := range ps.hints {
 		if old.space == h.space && old.key == h.key {
 			ps.bytes += int64(len(h.entry)) - int64(len(old.entry))
-			t.stats.HandoffBytes += int64(len(h.entry)) - int64(len(old.entry))
+			t.hintSize += int64(len(h.entry)) - int64(len(old.entry))
 			ps.hints[i] = h
 			return
 		}
 	}
 	ps.hints = append(ps.hints, h)
 	ps.bytes += int64(len(h.entry))
-	t.stats.HandoffQueued++
-	t.stats.HandoffBytes += int64(len(h.entry))
+	t.hintSize += int64(len(h.entry))
 	t.mQueued.Inc()
-	for t.stats.HandoffBytes > t.handoffMax {
+	for t.hintSize > t.handoffMax {
 		if !t.dropOldestLocked() {
 			break
 		}
@@ -772,8 +767,7 @@ func (t *Tier) dropOldestLocked() bool {
 	h := victim.hints[0]
 	victim.hints = victim.hints[1:]
 	victim.bytes -= int64(len(h.entry))
-	t.stats.HandoffBytes -= int64(len(h.entry))
-	t.stats.HandoffDropped++
+	t.hintSize -= int64(len(h.entry))
 	t.mDropped.Inc()
 	return true
 }
@@ -837,13 +831,11 @@ func (t *Tier) DrainOnce() int {
 			if len(w.ps.hints) > 0 && w.ps.hints[0] == h {
 				w.ps.hints = w.ps.hints[1:]
 				w.ps.bytes -= int64(len(h.entry))
-				t.stats.HandoffBytes -= int64(len(h.entry))
-				t.stats.HandoffDrained++
+				t.hintSize -= int64(len(h.entry))
+				t.mDrained.Inc()
 				delivered++
 			}
 			t.mu.Unlock()
-			t.mDrained.Inc()
-			t.count(func(s *Stats) { s.PutBytes += int64(len(h.entry)) })
 			t.mPutBytes.Add(int64(len(h.entry)))
 		}
 	}
@@ -859,7 +851,6 @@ func (t *Tier) ServeGet(space, key string, senderEpoch int64) (entry []byte, fou
 	local := t.spaces[spaceOrUnit(space)]
 	t.mu.Unlock()
 	if senderEpoch < myEpoch {
-		t.count(func(s *Stats) { s.StaleRefusals++ })
 		t.mStale.Inc()
 		return nil, false, true
 	}
@@ -887,7 +878,6 @@ func (t *Tier) ServePut(space, key string, entry []byte, senderEpoch int64) (sta
 	local := t.spaces[spaceOrUnit(space)]
 	t.mu.Unlock()
 	if senderEpoch < myEpoch {
-		t.count(func(s *Stats) { s.StaleRefusals++ })
 		t.mStale.Inc()
 		return true, nil
 	}
@@ -899,7 +889,6 @@ func (t *Tier) ServePut(space, key string, entry []byte, senderEpoch int64) (sta
 		// No checksum is also refused here: replication is our own wire,
 		// and every entry we produce carries a sum — an unverifiable
 		// replicated write is either damage or a protocol violation.
-		t.count(func(s *Stats) { s.RotRefusals++ })
 		t.mRot.Inc()
 		return false, fmt.Errorf("peer: put refused: entry failed verification")
 	}

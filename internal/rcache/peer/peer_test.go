@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -486,5 +487,79 @@ func TestVerifyEntryIncrUnitRecord(t *testing.T) {
 	raw, _ = json.Marshal(&mut)
 	if got, ok := verifyEntry(key, raw); ok || got != nil {
 		t.Fatal("entry whose sum skips the path database was accepted")
+	}
+}
+
+// TestHandoffDrainedCountsEachHintOnce: a hint replaced by a same-key
+// coalesce while its delivery is on the wire is not counted as drained; only
+// the hint actually popped from the queue is, so the registry counter and
+// Stats().HandoffDrained agree.
+func TestHandoffDrainedCountsEachHintOnce(t *testing.T) {
+	reg := metrics.NewRegistry()
+	writer := newNode(t, Options{BreakerThreshold: -1, Registry: reg})
+	peerCache, err := rcache.Open(rcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerTier := New(peerCache, Options{Registry: metrics.NewRegistry(), DrainInterval: time.Hour})
+	defer peerTier.Close()
+
+	k := key64("c0")
+	var p *httptest.Server
+	var up, coalesced atomic.Bool
+	inner := serveTier(peerTier)
+	p = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !up.Load() {
+			http.Error(w, "down", http.StatusInternalServerError)
+			return
+		}
+		if coalesced.CompareAndSwap(false, true) {
+			// A newer write of the same key lands while this delivery is in
+			// flight: the queued head is replaced, not delivered.
+			b := mustJSON(t, mkEntry(k, `{"warnings":["new"]}`))
+			writer.tier.enqueueHint(strings.TrimPrefix(p.URL, "http://"), &hint{space: SpaceUnit, key: k, entry: b})
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer p.Close()
+	peerAddr := strings.TrimPrefix(p.URL, "http://")
+	writer.tier.Update(cluster.PeerMap{Epoch: 1, Peers: []string{writer.addr, peerAddr}, Replicas: 2})
+
+	writer.tier.ReplicateRemote(SpaceUnit, mkEntry(k, `{"warnings":["old"]}`))
+	if st := writer.tier.Stats(); st.HandoffPending != 1 {
+		t.Fatalf("setup: want 1 pending hint, got %+v", st)
+	}
+	up.Store(true)
+	if n := writer.tier.DrainOnce(); n != 1 {
+		t.Fatalf("DrainOnce delivered %d, want 1", n)
+	}
+	if got, ok := peerCache.Get(k); !ok || string(got.Report) != `{"warnings":["new"]}` {
+		t.Fatalf("peer must end with the newest write, got ok=%v %+v", ok, got)
+	}
+	st := writer.tier.Stats()
+	drained := reg.Counter(metrics.MetricPeerHandoffDrained, "").Value()
+	if st.HandoffDrained != 1 || drained != 1 || st.HandoffPending != 0 {
+		t.Fatalf("drained: Stats %d, counter %d, want 1 and 1 (pending %d)", st.HandoffDrained, drained, st.HandoffPending)
+	}
+}
+
+// TestBreakerTripsSurvivePeerRemoval: an Update that drops a peer keeps that
+// peer's breaker trips in Stats(), which reads the cumulative counter.
+func TestBreakerTripsSurvivePeerRemoval(t *testing.T) {
+	reg := metrics.NewRegistry()
+	n := newNode(t, Options{BreakerThreshold: 2, BreakerCooldown: time.Hour, OpTimeout: 50 * time.Millisecond, Registry: reg})
+	n.tier.Update(cluster.PeerMap{Epoch: 1, Peers: []string{n.addr, "127.0.0.1:1"}, Replicas: 2})
+	for i := 0; i < 4; i++ {
+		n.tier.Get(SpaceUnit, key64("de"))
+	}
+	trips := n.tier.Stats().BreakerTrips
+	if trips == 0 {
+		t.Fatal("setup: dead peer never tripped its breaker")
+	}
+	n.tier.Update(cluster.PeerMap{Epoch: 2, Peers: []string{n.addr}, Replicas: 2})
+	st := n.tier.Stats()
+	if st.BreakerTrips != trips || reg.Counter(metrics.MetricPeerBreakerTrips, "").Value() != trips {
+		t.Fatalf("trips after removing the peer: Stats %d, counter %d, want %d",
+			st.BreakerTrips, reg.Counter(metrics.MetricPeerBreakerTrips, "").Value(), trips)
 	}
 }

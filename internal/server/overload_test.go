@@ -262,7 +262,7 @@ func TestServeVerboseHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var h healthVerbose
+	var h Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestServeBreakerSurfacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hresp.Body.Close()
-	var h healthVerbose
+	var h Health
 	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,16 @@ import (
 	"pallas/internal/rcache/peer"
 )
 
-// Server-specific metric names; the cache/analysis counters are the shared
-// pallas.Metric* names, so batch and serve activity land in one registry.
+// Server metric names, registered in the server's registry (Config.Metrics).
 const (
+	// MetricUnitsAnalyzed counts real analysis pipeline executions (cache
+	// misses).
+	MetricUnitsAnalyzed = "pallas_units_analyzed_total"
+	// MetricDegraded counts analyses that completed partially.
+	MetricDegraded = "pallas_degraded_total"
+	// MetricCacheHits / MetricCacheMisses count result-cache outcomes.
+	MetricCacheHits   = "pallas_cache_hits_total"
+	MetricCacheMisses = "pallas_cache_misses_total"
 	// MetricRequests counts accepted /v1/analyze requests.
 	MetricRequests = "pallas_requests_total"
 	// MetricRequestErrors counts /v1/analyze requests answered with an
@@ -168,7 +175,10 @@ type Config struct {
 	// CachePeerTimeout overrides the tier's per-op deadline (tests; <= 0
 	// means peer.DefaultOpTimeout).
 	CachePeerTimeout time.Duration
-	// Metrics receives the server's instruments; nil means metrics.Default.
+	// Metrics receives the server's and the peer tier's instruments; nil
+	// means a registry of the server's own. The analyzer keeps its
+	// feasibility and memo counters in a registry of its own
+	// (pallas.Analyzer.Metrics); /metrics renders this one, then that one.
 	Metrics *metrics.Registry
 	// MaxRequestBytes caps an analyze body; <= 0 means
 	// DefaultMaxRequestBytes.
@@ -191,7 +201,7 @@ type Server struct {
 	maxQ     int
 	deadline time.Duration // default admission deadline (Analyzer.Deadline)
 	aworkers int           // Analyzer.AnalysisWorkers, surfaced by /healthz
-	feasTier feas.Tier     // Analyzer.Precision, surfaced by /healthz and stats
+	feasTier feas.Tier     // Analyzer.Precision, surfaced by Snapshot
 	draining atomic.Bool
 
 	// Cluster-worker state: the address this worker advertises in result
@@ -231,7 +241,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	reg := cfg.Metrics
 	if reg == nil {
-		reg = metrics.Default
+		reg = metrics.NewRegistry()
 	}
 	maxBody := cfg.MaxRequestBytes
 	if maxBody <= 0 {
@@ -277,13 +287,6 @@ func New(cfg Config) (*Server, error) {
 		tier.Close()
 		return nil, err
 	}
-	if feasTier != feas.Fast {
-		// Pre-register the feasibility counters so /metrics exposes them
-		// from the first scrape, not the first pruned path. The fast tier
-		// never prunes, so it keeps the historical exposition byte-for-byte.
-		reg.Counter(metrics.MetricFeasPathsPruned, metrics.HelpFeasPathsPruned)
-		reg.Counter(metrics.MetricFeasContradictions, metrics.HelpFeasContradictions)
-	}
 	if len(cfg.CachePeers) > 0 {
 		members := append([]string(nil), cfg.CachePeers...)
 		if cfg.CacheSelf != "" {
@@ -316,10 +319,10 @@ func New(cfg Config) (*Server, error) {
 
 		mRequests:     reg.Counter(MetricRequests, "accepted analyze requests"),
 		mErrors:       reg.Counter(MetricRequestErrors, "analyze requests answered with an error"),
-		mCacheHits:    reg.Counter(pallas.MetricCacheHits, "result-cache hits"),
-		mCacheMisses:  reg.Counter(pallas.MetricCacheMisses, "result-cache misses"),
-		mAnalyzed:     reg.Counter(pallas.MetricUnitsAnalyzed, "analysis pipeline executions (cache and resume misses)"),
-		mDegraded:     reg.Counter(pallas.MetricDegraded, "analyses that completed partially"),
+		mCacheHits:    reg.Counter(MetricCacheHits, "result-cache hits"),
+		mCacheMisses:  reg.Counter(MetricCacheMisses, "result-cache misses"),
+		mAnalyzed:     reg.Counter(MetricUnitsAnalyzed, "analysis pipeline executions (cache and resume misses)"),
+		mDegraded:     reg.Counter(MetricDegraded, "analyses that completed partially"),
 		mShedQueue:    reg.Counter(MetricShedQueueFull, "requests shed: admission queue full"),
 		mShedDeadline: reg.Counter(MetricShedDeadline, "requests shed: deadline unmeetable"),
 		mShedRate:     reg.Counter(MetricShedRateLimited, "requests shed: rate limited"),
@@ -351,20 +354,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Cache exposes the result cache (tests and the CLI stats line).
 func (s *Server) Cache() *rcache.Cache { return s.cache }
 
-// PeerTier exposes the shared cache tier (stats lines, map pushes in
-// tests, and the CLI's -cache-stats dump).
+// PeerTier exposes the shared cache tier (map pushes and SetSelf in tests).
 func (s *Server) PeerTier() *peer.Tier { return s.peers }
 
 // IncrStats surfaces the function-memo counters (false when incremental
 // analysis is off).
 func (s *Server) IncrStats() (incr.Stats, bool) { return s.analyzer.IncrStats() }
-
-// FeasTier reports the feasibility tier this server's analyses run under.
-func (s *Server) FeasTier() feas.Tier { return s.feasTier }
-
-// FeasStats surfaces the feasibility layer's cumulative pruning counters
-// (always zero on the fast tier).
-func (s *Server) FeasStats() pallas.FeasStats { return s.analyzer.FeasStats() }
 
 // Close releases background resources (the peer tier's handoff drain
 // loop). The HTTP handler must not be used afterwards.
@@ -742,11 +737,12 @@ type healthBody struct {
 	CacheBytes    int64  `json:"cache_bytes"`
 }
 
-// healthVerbose is the /healthz?verbose=1 payload: everything an
-// orchestrator needs to tell "draining" (status) from "overloaded" (queue
-// depth at max, effective limit at the floor, sheds climbing) from
-// "degraded storage" (cache tier open).
-type healthVerbose struct {
+// Health is the server's one snapshot: /healthz?verbose=1 encodes it as
+// JSON and `pallas serve -cache-stats` prints it as text. It carries
+// everything an orchestrator needs to tell "draining" (status) from
+// "overloaded" (queue depth at max, effective limit at the floor, sheds
+// climbing) from "degraded storage" (cache tier open).
+type Health struct {
 	healthBody
 	QueueDepth      int                `json:"queue_depth"`
 	EffectiveLimit  int                `json:"effective_limit"`
@@ -760,6 +756,8 @@ type healthVerbose struct {
 	CacheDiskFaults int64              `json:"cache_disk_faults"`
 	CacheDiskPrunes int64              `json:"cache_disk_full_prunes"`
 	BreakerTrips    int64              `json:"cache_breaker_trips"`
+	// Cache is the result cache's full activity snapshot.
+	Cache rcache.Stats `json:"cache"`
 	// PeerCache summarizes the shared cache tier (omitted while inert: no
 	// peers configured or pushed).
 	PeerCache *peer.Stats `json:"peer_cache,omitempty"`
@@ -773,13 +771,25 @@ type healthVerbose struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	status, code := "ok", http.StatusOK
+	var body any = s.health()
+	if r.URL.Query().Get("verbose") == "1" {
+		body = s.Snapshot()
+	}
+	code := http.StatusOK
+	if s.draining.Load() {
+		code = http.StatusServiceUnavailable
+	}
+	writeJSON(w, code, body)
+}
+
+func (s *Server) health() healthBody {
+	status := "ok"
 	if s.draining.Load() {
 		// Readiness flip: a draining instance answers but advertises that
 		// traffic should move elsewhere.
-		status, code = "draining", http.StatusServiceUnavailable
+		status = "draining"
 	}
-	base := healthBody{
+	return healthBody{
 		Status:        status,
 		InFlight:      s.gate.InFlight(),
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
@@ -787,13 +797,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		CacheEntries:  s.cache.Len(),
 		CacheBytes:    s.cache.Bytes(),
 	}
-	if r.URL.Query().Get("verbose") != "1" {
-		writeJSON(w, code, base)
-		return
-	}
+}
+
+// Snapshot reads the server's state and counters once: the verbose health
+// payload.
+func (s *Server) Snapshot() Health {
 	st := s.cache.Stats()
-	body := healthVerbose{
-		healthBody:      base,
+	body := Health{
+		healthBody:      s.health(),
 		QueueDepth:      s.ctrl.QueueDepth(),
 		EffectiveLimit:  s.ctrl.EffectiveLimit(),
 		MinWorkers:      s.limiter.Min(),
@@ -806,6 +817,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		CacheDiskFaults: st.DiskFaults,
 		CacheDiskPrunes: st.DiskFullPrunes,
 		BreakerTrips:    st.BreakerTrips,
+		Cache:           st,
 	}
 	if s.peers.Enabled() || s.peers.Epoch() > 0 {
 		ps := s.peers.Stats()
@@ -819,7 +831,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		fst := s.analyzer.FeasStats()
 		body.Feas = &fst
 	}
-	writeJSON(w, code, body)
+	return body
 }
 
 // maxQueue reports the admission queue bound (for health reporting).
@@ -828,5 +840,7 @@ func (s *Server) maxQueue() int { return s.maxQ }
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.syncGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
+	if s.reg.WritePrometheus(w) == nil {
+		s.analyzer.Metrics().WritePrometheus(w)
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"pallas"
 	"pallas/internal/failpoint"
 	"pallas/internal/metrics"
 )
@@ -111,9 +110,9 @@ func TestServeColdWarmByteIdentical(t *testing.T) {
 	defer mresp.Body.Close()
 	mb, _ := io.ReadAll(mresp.Body)
 	for _, want := range []string{
-		pallas.MetricCacheMisses + " 1\n",
-		pallas.MetricCacheHits + " 1\n",
-		pallas.MetricUnitsAnalyzed + " 1\n",
+		MetricCacheMisses + " 1\n",
+		MetricCacheHits + " 1\n",
+		MetricUnitsAnalyzed + " 1\n",
 		MetricRequests + " 2\n",
 		MetricInFlight + " 0\n",
 		MetricRequestSeconds + "_count 2\n",

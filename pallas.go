@@ -33,7 +33,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pallas/internal/cast"
@@ -47,6 +46,7 @@ import (
 	"pallas/internal/guard"
 	"pallas/internal/incr"
 	"pallas/internal/infer"
+	"pallas/internal/metrics"
 	"pallas/internal/pathdb"
 	"pallas/internal/paths"
 	"pallas/internal/report"
@@ -189,9 +189,11 @@ type Analyzer struct {
 	incrMemo *incr.Store
 	incrErr  error
 
-	// Feasibility tallies across this analyzer's lifetime (see FeasStats).
-	feasPruned atomic.Int64
-	feasContra atomic.Int64
+	// reg is the analyzer's counter store: the feasibility counters below
+	// and the memo store's. FeasStats and IncrStats read it; a server's
+	// /metrics renders it.
+	reg                      *metrics.Registry
+	mFeasPruned, mFeasContra *metrics.Counter
 }
 
 // FeasStats is the cumulative feasibility activity of one analyzer.
@@ -203,10 +205,16 @@ type FeasStats = paths.FeasStats
 // contradictions counts contradiction events seen during fresh extraction.
 // Both are always zero at precision "fast".
 func (a *Analyzer) FeasStats() FeasStats {
-	return FeasStats{Pruned: a.feasPruned.Load(), Contradictions: a.feasContra.Load()}
+	return FeasStats{Pruned: a.mFeasPruned.Value(), Contradictions: a.mFeasContra.Value()}
 }
 
-// New returns an analyzer with the given configuration.
+// Metrics returns the analyzer's registry: the pallas_feas_* counters at
+// every precision tier, plus the pallas_incr_* instruments once the memo
+// store is open.
+func (a *Analyzer) Metrics() *metrics.Registry { return a.reg }
+
+// New returns an analyzer with the given configuration and a registry of
+// its own.
 func New(cfg Config) *Analyzer {
 	if cfg.MaxPaths <= 0 {
 		cfg.MaxPaths = 512
@@ -217,7 +225,13 @@ func New(cfg Config) *Analyzer {
 	if cfg.InlineDepth == 0 {
 		cfg.InlineDepth = 2
 	}
-	return &Analyzer{cfg: cfg}
+	reg := metrics.NewRegistry()
+	return &Analyzer{
+		cfg:         cfg,
+		reg:         reg,
+		mFeasPruned: reg.Counter(metrics.MetricFeasPathsPruned, "Path continuations discarded as infeasible by the feasibility layer."),
+		mFeasContra: reg.Counter(metrics.MetricFeasContradictions, "Contradictory branch-condition accumulations detected during path walks."),
+	}
 }
 
 // Result is a completed analysis.
@@ -384,7 +398,7 @@ func (a *Analyzer) analyze(tu *cast.TranslationUnit, sp *spec.Spec, merged strin
 			if res := memo.replayUnit(tu, sp, merged); res != nil {
 				// Replayed verdicts carry the pruned tally of the clean run
 				// they memoized; keep the analyzer-level counters moving.
-				a.feasPruned.Add(int64(res.Report.PathsPruned))
+				a.mFeasPruned.Add(int64(res.Report.PathsPruned))
 				return res, nil
 			}
 		}
@@ -419,9 +433,8 @@ func (a *Analyzer) analyze(tu *cast.TranslationUnit, sp *spec.Spec, merged strin
 		}
 	}
 	rep := checkers.Run(ctx, selected...)
-	fstats := ctx.Extractor.FeasStats()
-	a.feasPruned.Add(int64(rep.PathsPruned))
-	a.feasContra.Add(fstats.Contradictions)
+	a.mFeasPruned.Add(int64(rep.PathsPruned))
+	a.mFeasContra.Add(ctx.Extractor.FeasStats().Contradictions)
 	diags = append(diags, ctx.Diagnostics...)
 	if err := budget.Err(); err != nil && !hasDiagFor(diags, err) {
 		diags = append(diags, guard.Diag(guard.StageExtract, tu.File, err, true))
