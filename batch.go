@@ -124,7 +124,7 @@ type BatchOptions struct {
 	// warms the server and vice versa.
 	CacheDir string
 	// CacheBytes bounds the cache's memory tier (<= 0: rcache default).
-	// Only meaningful with CacheDir or Cache.
+	// Only meaningful with CacheDir.
 	CacheBytes int64
 	// Sleep replaces time.Sleep between retry attempts; tests inject a
 	// recorder here. Nil means time.Sleep.
@@ -258,7 +258,7 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 		}
 		// No queue bound or deadline: batch units never shed, they just wait
 		// for the adapted width — Acquire with a zero deadline cannot fail.
-		pacer = overload.NewController(overload.NewLimiter(opts.MinWorkers, width), -1)
+		pacer = overload.NewController(overload.NewLimiter(opts.MinWorkers, width), -1, nil)
 	}
 
 	guard.Pool(len(units), opts.Workers, func(i int) error {
@@ -283,13 +283,11 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 			key := a.CacheKey(u)
 			if e, ok := cache.Get(key); ok {
 				replayCacheEntry(&out[i], e)
-				count(func(s *BatchStats) { s.CacheHits++ })
 				// A cache-replayed outcome is still checkpointed so -resume
 				// works against the journal alone.
 				journalOutcome(jr, &out[i], u.Name, hash, 0, out[i].Result, nil, false)
 				return nil
 			}
-			count(func(s *BatchStats) { s.CacheMisses++ })
 		}
 		count(func(s *BatchStats) { s.Analyzed++ })
 
@@ -362,6 +360,10 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 			return nil
 		}
 	})
+	if cache != nil {
+		cs := cache.Stats() // this run's own cache: its lookups are the run's
+		stats.CacheHits, stats.CacheMisses = int(cs.Hits), int(cs.Misses)
+	}
 	if incrAfter, ok := a.IncrStats(); ok {
 		stats.IncrFuncHits = incrAfter.FuncHits - incrBefore.FuncHits
 		stats.IncrFuncMisses = incrAfter.FuncMisses - incrBefore.FuncMisses

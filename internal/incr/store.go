@@ -2,12 +2,7 @@ package incr
 
 import (
 	"encoding/json"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
-	"time"
 
 	"pallas/internal/metrics"
 	"pallas/internal/paths"
@@ -111,14 +106,16 @@ type Stats struct {
 	// UnitHits / UnitMisses count whole-unit verdict lookups by outcome.
 	UnitHits   int64
 	UnitMisses int64
-	// Pruned counts persistent-tier files removed to hold MaxBytes.
+	// Pruned counts persistent-tier files removed to hold MaxBytes (stale
+	// temp files of crashed writes included).
 	Pruned int64
 }
 
 // Store is the function-level memo store. All methods are safe for
 // concurrent use; the underlying tiers are an rcache (byte-bounded memory
 // LRU + atomic persistent writes, circuit breaker on disk faults) plus a
-// size-triggered prune that bounds the persistent directory.
+// size trigger that runs rcache's prune loop to bound the persistent
+// directory.
 type Store struct {
 	cache    *rcache.Cache
 	shared   SharedTier // nil: local tiers only
@@ -168,7 +165,7 @@ func Open(o Options) (*Store, error) {
 	}
 	// A pre-existing directory may already exceed the bound (a previous run
 	// with a larger budget); trim it before serving.
-	s.prune()
+	s.mPruned.Add(int64(c.PruneOldest(s.diskBound)))
 	return s, nil
 }
 
@@ -312,10 +309,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// CacheStats exposes the underlying tier activity (memory LRU, disk,
-// breaker) for diagnostics.
-func (s *Store) CacheStats() rcache.Stats { return s.cache.Stats() }
-
 // trackFunc records a function lookup outcome and detects invalidations: a
 // lookup whose fingerprint differs from the previous lookup of the same
 // (unit, function) slot means an edit reached the function through the DAG.
@@ -361,51 +354,13 @@ func (s *Store) noteWrite(n int64) {
 	}
 	s.mu.Unlock()
 	if due {
-		s.prune()
+		s.mPruned.Add(int64(s.cache.PruneOldest(s.diskBound)))
 		s.mu.Lock()
 		s.pruning = false
 		s.mu.Unlock()
 	}
 }
 
-// prune bounds the persistent tier: when the directory's entry files exceed
-// MaxBytes, the oldest (by modification time) are removed until it fits.
-// Removing an entry at any moment is safe — entries are content-addressed
-// and written atomically, so a pruned entry is simply a future miss.
-func (s *Store) prune() {
-	if s.dir == "" {
-		return
-	}
-	type file struct {
-		path string
-		size int64
-		mod  time.Time
-	}
-	var files []file
-	var total int64
-	_ = filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-			return nil
-		}
-		info, ierr := d.Info()
-		if ierr != nil {
-			return nil
-		}
-		files = append(files, file{path: path, size: info.Size(), mod: info.ModTime()})
-		total += info.Size()
-		return nil
-	})
-	if total <= s.maxBytes {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	for _, f := range files {
-		if total <= s.maxBytes {
-			break
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-			s.mPruned.Inc()
-		}
-	}
-}
+// diskBound is the memo's prune target: whatever the persistent tier
+// holds, the oldest entries go until it fits MaxBytes.
+func (s *Store) diskBound(int64) int64 { return s.maxBytes }

@@ -233,7 +233,7 @@ func TestStoreUnitMemoryBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.PutUnit(fmt.Sprintf("key-u%d", i), unitRecord(fmt.Sprintf("u%d.c", i), 20<<10))
 	}
-	cs := s.CacheStats()
+	cs := s.cache.Stats()
 	if cs.Bytes > maxBytes || cs.Evictions == 0 {
 		t.Fatalf("memory tier holds %d bytes with %d evictions, budget %d", cs.Bytes, cs.Evictions, maxBytes)
 	}
@@ -307,7 +307,7 @@ func TestStorePruneBoundsDisk(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.PutFunc(fmt.Sprintf("key-%03d", i), "u.c", fmt.Sprintf("f%d", i), "fp", funcPaths(fmt.Sprintf("f%d", i), 4))
 	}
-	s.prune()
+	s.noteWrite(maxBytes) // force the write trigger due, whatever the writes left pending
 
 	var total int64
 	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"pallas/internal/metrics"
 )
 
 // Shed reasons. Every Acquire failure is one of these (or a context error),
@@ -28,17 +30,14 @@ type waiter struct {
 	hasDeadline bool
 }
 
-// ShedStats counts shed requests by reason.
+// ShedStats is a snapshot of the shed counters by reason: ErrQueueFull,
+// ErrDeadline and ErrDraining refusals, and Canceled for queued callers
+// whose context ended before admission.
 type ShedStats struct {
 	QueueFull int64 `json:"queue_full"`
 	Deadline  int64 `json:"deadline"`
 	Draining  int64 `json:"draining"`
 	Canceled  int64 `json:"canceled"`
-}
-
-// Total sums all shed reasons.
-func (s ShedStats) Total() int64 {
-	return s.QueueFull + s.Deadline + s.Draining + s.Canceled
 }
 
 // Controller is the bounded, deadline-aware admission queue in front of the
@@ -57,14 +56,26 @@ type Controller struct {
 	queue    []*waiter
 	draining bool
 	admitted int64
-	shed     ShedStats
+
+	mQueueFull, mDeadline, mDraining, mCanceled *metrics.Counter
 }
 
 // NewController returns a controller admitting through limiter with at most
 // maxQueue waiting requests (maxQueue < 0 means unbounded, 0 means no
-// queueing — shed as soon as the limit is reached).
-func NewController(limiter *Limiter, maxQueue int) *Controller {
-	return &Controller{limiter: limiter, maxQueue: maxQueue, now: time.Now}
+// queueing — shed as soon as the limit is reached). The shed counters
+// (pallas_shed_*) live in reg, which is also what Shed reads; nil means a
+// registry of the controller's own.
+func NewController(limiter *Limiter, maxQueue int, reg *metrics.Registry) *Controller {
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	return &Controller{
+		limiter: limiter, maxQueue: maxQueue, now: time.Now,
+		mQueueFull: reg.Counter(metrics.MetricShedQueueFull, "requests shed: admission queue full"),
+		mDeadline:  reg.Counter(metrics.MetricShedDeadline, "requests shed: deadline unmeetable"),
+		mDraining:  reg.Counter(metrics.MetricShedDraining, "requests shed: draining"),
+		mCanceled:  reg.Counter(metrics.MetricShedCanceled, "requests shed: caller gone while queued"),
+	}
 }
 
 // Acquire blocks until the request is admitted or shed. deadline is the
@@ -77,14 +88,14 @@ func (c *Controller) Acquire(ctx context.Context, deadline time.Time) error {
 	}
 	c.mu.Lock()
 	if c.draining {
-		c.shed.Draining++
+		c.mDraining.Inc()
 		c.mu.Unlock()
 		return ErrDraining
 	}
 	now := c.now()
 	hasDeadline := !deadline.IsZero()
 	if hasDeadline && !now.Before(deadline) {
-		c.shed.Deadline++
+		c.mDeadline.Inc()
 		c.mu.Unlock()
 		return ErrDeadline
 	}
@@ -95,7 +106,7 @@ func (c *Controller) Acquire(ctx context.Context, deadline time.Time) error {
 		return nil
 	}
 	if c.maxQueue >= 0 && len(c.queue) >= c.maxQueue {
-		c.shed.QueueFull++
+		c.mQueueFull.Inc()
 		c.mu.Unlock()
 		return ErrQueueFull
 	}
@@ -103,7 +114,7 @@ func (c *Controller) Acquire(ctx context.Context, deadline time.Time) error {
 	// overruns the deadline, failing now (with an honest Retry-After) beats
 	// holding the slot until the deadline does it for us.
 	if hasDeadline && now.Add(c.estimateLocked(len(c.queue))).After(deadline) {
-		c.shed.Deadline++
+		c.mDeadline.Inc()
 		c.mu.Unlock()
 		return ErrDeadline
 	}
@@ -138,9 +149,9 @@ func (c *Controller) abandon(w *waiter, reason error) error {
 		if q == w {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
 			if errors.Is(reason, ErrDeadline) {
-				c.shed.Deadline++
+				c.mDeadline.Inc()
 			} else {
-				c.shed.Canceled++
+				c.mCanceled.Inc()
 			}
 			c.mu.Unlock()
 			return reason
@@ -178,7 +189,7 @@ func (c *Controller) dispatchLocked() {
 		w := c.queue[0]
 		c.queue = c.queue[1:]
 		if w.hasDeadline && now.After(w.deadline) {
-			c.shed.Deadline++
+			c.mDeadline.Inc()
 			w.ready <- ErrDeadline
 			continue
 		}
@@ -195,7 +206,7 @@ func (c *Controller) Drain() {
 	c.mu.Lock()
 	c.draining = true
 	for _, w := range c.queue {
-		c.shed.Draining++
+		c.mDraining.Inc()
 		w.ready <- ErrDraining
 	}
 	c.queue = nil
@@ -255,16 +266,13 @@ func (c *Controller) Admitted() int64 {
 	return c.admitted
 }
 
-// Shed returns the shed counts by reason.
+// Shed reads the shed counters by reason. Draining includes refusals that
+// callers counted on the same registry counter before reaching Acquire.
 func (c *Controller) Shed() ShedStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shed
-}
-
-// Draining reports whether Drain was called.
-func (c *Controller) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
+	return ShedStats{
+		QueueFull: c.mQueueFull.Value(),
+		Deadline:  c.mDeadline.Value(),
+		Draining:  c.mDraining.Value(),
+		Canceled:  c.mCanceled.Value(),
+	}
 }

@@ -193,7 +193,7 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 
 func TestRateLimiterPerClientBurstAndRefill(t *testing.T) {
 	clk := newTestClock()
-	r := NewRateLimiter(2, 2, 0, 0)
+	r := NewRateLimiter(2, 2, 0, 0, nil)
 	r.now = clk.now
 
 	for i := 0; i < 2; i++ {
@@ -224,7 +224,7 @@ func TestRateLimiterPerClientBurstAndRefill(t *testing.T) {
 
 func TestRateLimiterGlobalBucket(t *testing.T) {
 	clk := newTestClock()
-	r := NewRateLimiter(0, 0, 1, 1)
+	r := NewRateLimiter(0, 0, 1, 1, nil)
 	r.now = clk.now
 	if ok, _ := r.Allow("a"); !ok {
 		t.Fatal("first request within global burst refused")
@@ -236,7 +236,7 @@ func TestRateLimiterGlobalBucket(t *testing.T) {
 
 func TestRateLimiterDenialRefundsGlobalToken(t *testing.T) {
 	clk := newTestClock()
-	r := NewRateLimiter(1, 1, 10, 10)
+	r := NewRateLimiter(1, 1, 10, 10, nil)
 	r.now = clk.now
 	r.Allow("a")
 	if ok, _ := r.Allow("a"); ok {
@@ -256,7 +256,7 @@ func TestRateLimiterZeroValueAdmitsEverything(t *testing.T) {
 	if ok, _ := r.Allow("x"); !ok {
 		t.Fatal("nil limiter must admit")
 	}
-	r2 := NewRateLimiter(0, 0, 0, 0)
+	r2 := NewRateLimiter(0, 0, 0, 0, nil)
 	for i := 0; i < 1000; i++ {
 		if ok, _ := r2.Allow("x"); !ok {
 			t.Fatal("unlimited limiter must admit")
@@ -266,7 +266,7 @@ func TestRateLimiterZeroValueAdmitsEverything(t *testing.T) {
 
 func TestRateLimiterEvictsIdleClients(t *testing.T) {
 	clk := newTestClock()
-	r := NewRateLimiter(100, 1, 0, 0)
+	r := NewRateLimiter(100, 1, 0, 0, nil)
 	r.now = clk.now
 	for i := 0; i < maxClientBuckets; i++ {
 		r.Allow(string(rune(i)))
@@ -286,7 +286,7 @@ func TestRateLimiterEvictsIdleClients(t *testing.T) {
 // --- Controller ---
 
 func TestControllerAdmitsUpToLimitThenQueues(t *testing.T) {
-	c := NewController(NewLimiter(2, 2), 8)
+	c := NewController(NewLimiter(2, 2), 8, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestControllerAdmitsUpToLimitThenQueues(t *testing.T) {
 }
 
 func TestControllerShedsWhenQueueFull(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 1)
+	c := NewController(NewLimiter(1, 1), 1, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestControllerShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestControllerShedsExpiredDeadlineOnArrival(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 4)
+	c := NewController(NewLimiter(1, 1), 4, nil)
 	err := c.Acquire(nil, time.Now().Add(-time.Second))
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
@@ -335,7 +335,7 @@ func TestControllerShedsExpiredDeadlineOnArrival(t *testing.T) {
 }
 
 func TestControllerShedsUnmeetableDeadlineWhileQueued(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 4)
+	c := NewController(NewLimiter(1, 1), 4, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestControllerShedsUnmeetableDeadlineWhileQueued(t *testing.T) {
 }
 
 func TestControllerReapsExpiredWaitersBeforeDispatch(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 4)
+	c := NewController(NewLimiter(1, 1), 4, nil)
 	c.now = time.Now
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestControllerReapsExpiredWaitersBeforeDispatch(t *testing.T) {
 }
 
 func TestControllerDrainRejectsQueuedImmediately(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 8)
+	c := NewController(NewLimiter(1, 1), 8, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestControllerDrainRejectsQueuedImmediately(t *testing.T) {
 }
 
 func TestControllerContextCancelRemovesWaiter(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 8)
+	c := NewController(NewLimiter(1, 1), 8, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestControllerContextCancelRemovesWaiter(t *testing.T) {
 }
 
 func TestControllerRetryAfterIsPositive(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 8)
+	c := NewController(NewLimiter(1, 1), 8, nil)
 	if c.RetryAfter() <= 0 {
 		t.Fatal("retry-after must be positive before any sample")
 	}
@@ -459,7 +459,7 @@ func TestControllerRetryAfterIsPositive(t *testing.T) {
 // every admission is eventually released.
 func TestControllerHammer(t *testing.T) {
 	const workers, goroutines = 4, 64
-	c := NewController(NewLimiter(2, workers), 16)
+	c := NewController(NewLimiter(2, workers), 16, nil)
 	var peak, neg atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"pallas/internal/metrics"
 )
 
 // maxClientBuckets bounds the per-client bucket map so an attacker rotating
@@ -47,13 +49,18 @@ type RateLimiter struct {
 	mu      sync.Mutex
 	global  bucket
 	clients map[string]*bucket
-	denied  int64
+	mDenied *metrics.Counter
 }
 
 // NewRateLimiter returns a limiter with the given per-client and global
 // rates (requests per second). A burst <= 0 defaults to the corresponding
-// rate (rounded up, minimum 1); a rate <= 0 disables that bucket.
-func NewRateLimiter(perSec, burst, globalSec, globalBurst float64) *RateLimiter {
+// rate (rounded up, minimum 1); a rate <= 0 disables that bucket. Denials
+// count in reg (pallas_shed_rate_limited_total), which is also what Denied
+// reads; nil means a registry of the limiter's own.
+func NewRateLimiter(perSec, burst, globalSec, globalBurst float64, reg *metrics.Registry) *RateLimiter {
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	if perSec > 0 && burst <= 0 {
 		burst = math.Max(1, math.Ceil(perSec))
 	}
@@ -65,6 +72,7 @@ func NewRateLimiter(perSec, burst, globalSec, globalBurst float64) *RateLimiter 
 		globalSec: globalSec, globalBurst: globalBurst,
 		now:     time.Now,
 		clients: map[string]*bucket{},
+		mDenied: reg.Counter(metrics.MetricShedRateLimited, "requests shed: rate limited"),
 	}
 	r.global = bucket{tokens: globalBurst, last: r.now()}
 	return r
@@ -83,7 +91,7 @@ func (r *RateLimiter) Allow(client string) (bool, time.Duration) {
 	now := r.now()
 	if r.globalSec > 0 {
 		if ok, wait := r.global.take(now, r.globalSec, r.globalBurst); !ok {
-			r.denied++
+			r.mDenied.Inc()
 			return false, wait
 		}
 	}
@@ -99,21 +107,19 @@ func (r *RateLimiter) Allow(client string) (bool, time.Duration) {
 			if r.globalSec > 0 {
 				r.global.tokens = math.Min(r.globalBurst, r.global.tokens+1)
 			}
-			r.denied++
+			r.mDenied.Inc()
 			return false, wait
 		}
 	}
 	return true, 0
 }
 
-// Denied returns how many requests the limiter has refused.
+// Denied reads how many requests the limiter has refused.
 func (r *RateLimiter) Denied() int64 {
-	if r == nil {
+	if r == nil || r.mDenied == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.denied
+	return r.mDenied.Value()
 }
 
 // evictIdleLocked drops buckets that have fully refilled (their owner has

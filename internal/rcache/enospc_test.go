@@ -133,13 +133,63 @@ func TestPruneOldestRemovesTempGarbage(t *testing.T) {
 	if err := writeFile(tmp, []byte("torn")); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.pruneOldest(); n != 2 { // the tmp file plus the single (oldest) entry
-		t.Fatalf("pruneOldest removed %d files, want 2", n)
+	// Only a stale temp file is garbage; a fresh one may be a write in
+	// progress (TestPruneKeepsFreshTempFiles).
+	if err := touch(tmp, time.Now().Add(-2*staleTemp)); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.PruneOldest(diskFullTarget); n != 2 { // the tmp file plus the single (oldest) entry
+		t.Fatalf("PruneOldest removed %d files, want 2", n)
 	}
 	if _, err := filepath.Glob(tmp); err != nil {
 		t.Fatal(err)
 	}
 	if exists(tmp) {
 		t.Fatal("temp garbage survived pruning")
+	}
+}
+
+// TestPruneKeepsFreshTempFiles: an ENOSPC prune must not delete a temp file
+// another writer created a moment ago — that writer's rename would then
+// fail and count a disk fault — but it still clears stale temp garbage.
+func TestPruneKeepsFreshTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := c.Put(entry(key64(fmt.Sprintf("e%d", i)), "u.c", `{"x":1}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shard := filepath.Dir(c.diskPath(key64("e0")))
+	fresh := filepath.Join(shard, key64("e7")+".json.tmp1")
+	stale := filepath.Join(shard, key64("e8")+".json.tmp2")
+	for _, p := range []string{fresh, stale} {
+		if err := writeFile(p, []byte("partial")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := touch(stale, time.Now().Add(-24*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+
+	widenDiskFull(t)
+	if err := failpoint.Arm("cache-store=error@1/ff"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disarm()
+	if err := c.Put(entry(key64("ff"), "u.c", `{"y":2}`)); err != nil {
+		t.Fatalf("put after prune+retry should succeed, got %v", err)
+	}
+	if c.Stats().DiskFullPrunes != 1 {
+		t.Fatalf("DiskFullPrunes = %d, want 1", c.Stats().DiskFullPrunes)
+	}
+	if !exists(fresh) {
+		t.Fatal("prune deleted a temp file a concurrent write had just created")
+	}
+	if exists(stale) {
+		t.Fatal("prune left stale temp garbage behind")
 	}
 }

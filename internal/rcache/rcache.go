@@ -39,6 +39,7 @@ import (
 
 	"pallas/internal/failpoint"
 	"pallas/internal/guard"
+	"pallas/internal/metrics"
 	"pallas/internal/overload"
 )
 
@@ -127,12 +128,16 @@ type Options struct {
 	// memory-only before one probe operation is allowed through. <= 0 means
 	// overload.DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
+	// Registry holds the pallas_cache_* counters, which are also what Stats
+	// reads; nil means a registry of the cache's own.
+	Registry *metrics.Registry
 }
 
 // DefaultMaxBytes is the default memory-tier bound (64 MiB).
 const DefaultMaxBytes = 64 << 20
 
-// Stats is a point-in-time snapshot of cache activity.
+// Stats is a point-in-time snapshot of cache activity: the registry
+// counters plus the memory tier's size and the breaker's position.
 type Stats struct {
 	// Hits counts lookups answered from either tier (or a singleflight
 	// leader's fresh result shared with followers).
@@ -190,7 +195,9 @@ type Cache struct {
 	byKey  map[string]*list.Element
 	bytes  int64
 	flight map[string]*call
-	stats  Stats
+
+	mHits, mMisses, mMemHits, mDiskHits, mShared, mComputes *metrics.Counter
+	mEvictions, mDiskFaults, mDiskFullPrunes, mBreakerSkips *metrics.Counter
 }
 
 // Open returns a cache with the given options, creating the persistent
@@ -208,6 +215,10 @@ func Open(opts Options) (*Cache, error) {
 	if opts.Dir != "" && opts.BreakerThreshold >= 0 {
 		breaker = overload.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
+	reg := opts.Registry
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	return &Cache{
 		dir:      opts.Dir,
 		maxBytes: opts.MaxBytes,
@@ -215,6 +226,17 @@ func Open(opts Options) (*Cache, error) {
 		lru:      list.New(),
 		byKey:    map[string]*list.Element{},
 		flight:   map[string]*call{},
+
+		mHits:           reg.Counter(metrics.MetricCacheHits, "result-cache hits"),
+		mMisses:         reg.Counter(metrics.MetricCacheMisses, "result-cache misses"),
+		mMemHits:        reg.Counter(metrics.MetricCacheMemHits, "result-cache hits served by the memory tier"),
+		mDiskHits:       reg.Counter(metrics.MetricCacheDiskHits, "result-cache hits served by the persistent tier"),
+		mShared:         reg.Counter(metrics.MetricCacheShared, "result-cache hits shared from a concurrent identical compute"),
+		mComputes:       reg.Counter(metrics.MetricCacheComputes, "result-cache compute executions"),
+		mEvictions:      reg.Counter(metrics.MetricCacheEvictions, "result-cache memory-tier LRU evictions"),
+		mDiskFaults:     reg.Counter(metrics.MetricCacheDiskFaults, "result-cache persistent-tier I/O failures"),
+		mDiskFullPrunes: reg.Counter(metrics.MetricCacheDiskFullPrunes, "result-cache full-disk recoveries: oldest entries pruned, write retried"),
+		mBreakerSkips:   reg.Counter(metrics.MetricCacheBreakerSkips, "result-cache persistent-tier operations skipped while its breaker was open"),
 	}, nil
 }
 
@@ -234,9 +256,7 @@ func (c *Cache) TierHealth() string {
 
 // diskFault records one persistent-tier failure against the breaker.
 func (c *Cache) diskFault(err error) {
-	c.mu.Lock()
-	c.stats.DiskFaults++
-	c.mu.Unlock()
+	c.mDiskFaults.Inc()
 	if c.breaker != nil {
 		c.breaker.Failure()
 	}
@@ -264,39 +284,42 @@ func (c *Cache) diskAllowed() bool {
 	if c.breaker == nil || c.breaker.Allow() {
 		return true
 	}
-	c.mu.Lock()
-	c.stats.BreakerSkips++
-	c.mu.Unlock()
+	c.mBreakerSkips.Inc()
 	return false
 }
 
 // Get returns the entry for key, consulting the memory tier then the
 // persistent tier (a disk hit is promoted into memory).
 func (c *Cache) Get(key string) (*Entry, bool) {
+	e, tier := c.lookup(key)
+	if e == nil {
+		c.mMisses.Inc()
+		return nil, false
+	}
+	c.mHits.Inc()
+	tier.Inc()
+	return e, true
+}
+
+// lookup is Get without the lookup counters: it returns the entry and the
+// tier counter (MemHits or DiskHits) its hit belongs to, or nil.
+func (c *Cache) lookup(key string) (*Entry, *metrics.Counter) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		c.stats.MemHits++
 		e := el.Value.(*Entry)
 		c.mu.Unlock()
-		return e, true
+		return e, c.mMemHits
 	}
 	c.mu.Unlock()
 
 	if e := c.loadDisk(key); e != nil {
 		c.mu.Lock()
 		c.insertLocked(e)
-		c.stats.Hits++
-		c.stats.DiskHits++
 		c.mu.Unlock()
-		return e, true
+		return e, c.mDiskHits
 	}
-
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
-	return nil, false
+	return nil, nil
 }
 
 // Put stores an entry in the memory tier and, when configured, the
@@ -317,35 +340,36 @@ func (c *Cache) Put(e *Entry) error {
 // caller computes, the rest block and share the outcome (hit=true for
 // them). fn errors are not cached — every new caller after a failure
 // retries.
+//
+// Each caller counts once its outcome is known: a hit counts Hits and its
+// tier; the leader counts Misses and Computes; a follower counts Shared and
+// Hits when its leader succeeds, and nothing when it fails — so Misses
+// equals the real analyses run.
 func (c *Cache) GetOrCompute(key string, fn func() (*Entry, error)) (*Entry, bool, error) {
-	if e, ok := c.Get(key); ok {
+	if e, tier := c.lookup(key); e != nil {
+		c.mHits.Inc()
+		tier.Inc()
 		return e, true, nil
 	}
 	c.mu.Lock()
 	if cl, ok := c.flight[key]; ok {
-		// Follower: someone is already computing this key. The Get above
-		// counted a miss for what is really a share; undo it so
-		// "misses == real analyses" stays true.
-		c.stats.Shared++
-		c.stats.Hits++
-		c.stats.Misses--
+		// Follower: someone is already computing this key.
 		c.mu.Unlock()
 		cl.wg.Wait()
 		if cl.err != nil {
-			c.mu.Lock()
-			c.stats.Shared--
-			c.stats.Hits--
-			c.mu.Unlock()
 			return nil, false, cl.err
 		}
+		c.mShared.Inc()
+		c.mHits.Inc()
 		return cl.entry, true, nil
 	}
 	// Leader: compute, publish, wake the followers.
 	cl := &call{}
 	cl.wg.Add(1)
 	c.flight[key] = cl
-	c.stats.Computes++
 	c.mu.Unlock()
+	c.mMisses.Inc()
+	c.mComputes.Inc()
 
 	var perr error
 	cl.entry, cl.err = fn()
@@ -384,14 +408,27 @@ func (c *Cache) insertLocked(e *Entry) {
 		c.lru.Remove(tail)
 		delete(c.byKey, old.Key)
 		c.bytes -= old.size()
-		c.stats.Evictions++
+		c.mEvictions.Inc()
 	}
 }
 
-// Stats returns a snapshot of cache activity.
+// Stats reads the cache's registry counters (activity since the registry
+// was created — since Open, for a registry of the cache's own) and the
+// current tier state.
 func (c *Cache) Stats() Stats {
+	s := Stats{
+		Hits:           c.mHits.Value(),
+		Misses:         c.mMisses.Value(),
+		MemHits:        c.mMemHits.Value(),
+		DiskHits:       c.mDiskHits.Value(),
+		Shared:         c.mShared.Value(),
+		Computes:       c.mComputes.Value(),
+		Evictions:      c.mEvictions.Value(),
+		DiskFaults:     c.mDiskFaults.Value(),
+		DiskFullPrunes: c.mDiskFullPrunes.Value(),
+		BreakerSkips:   c.mBreakerSkips.Value(),
+	}
 	c.mu.Lock()
-	s := c.stats
 	s.Entries = c.lru.Len()
 	s.Bytes = c.bytes
 	c.mu.Unlock()
@@ -401,23 +438,6 @@ func (c *Cache) Stats() Stats {
 	}
 	return s
 }
-
-// Len returns the number of memory-tier entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// Bytes returns the memory tier's current byte footprint.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Dir returns the persistent tier's root ("" when memory-only).
-func (c *Cache) Dir() string { return c.dir }
 
 // diskPath shards entries by the first two key characters so one directory
 // never accumulates the whole corpus.
@@ -476,15 +496,13 @@ func (c *Cache) storeDisk(e *Entry) error {
 	}
 	err := c.storeDiskRaw(e)
 	if err != nil && diskFull(err) {
-		// ENOSPC is capacity, not damage: prune the oldest persistent
-		// entries once to make room and retry, so a full disk degrades to a
-		// smaller cache instead of tripping the breaker into memory-only
-		// mode permanently. Only an ENOSPC on the retry (or a prune that
-		// freed nothing) counts as a fault.
-		if c.pruneOldest() > 0 {
-			c.mu.Lock()
-			c.stats.DiskFullPrunes++
-			c.mu.Unlock()
+		// ENOSPC is capacity, not damage: prune the oldest quarter of the
+		// persistent tier's bytes once to make room and retry, so a full
+		// disk degrades to a smaller cache instead of tripping the breaker
+		// into memory-only mode permanently. Only an ENOSPC on the retry (or
+		// a prune that freed nothing) counts as a fault.
+		if c.PruneOldest(diskFullTarget) > 0 {
+			c.mDiskFullPrunes.Inc()
 			err = c.storeDiskRaw(e)
 		}
 	}
@@ -500,49 +518,65 @@ func (c *Cache) storeDisk(e *Entry) error {
 // tests can widen it to injected faults without filling a real disk.
 var diskFull = func(err error) bool { return errors.Is(err, syscall.ENOSPC) }
 
-// pruneFraction is how much of the persistent tier pruneOldest removes:
-// enough that one ENOSPC buys headroom for many writes, small enough that
-// most of the warm set survives.
-const pruneFraction = 4 // one quarter
+// diskFullTarget is ENOSPC recovery's prune target: a quarter of the
+// persistent tier's bytes go, enough that one ENOSPC buys headroom for many
+// writes, little enough that most of the warm set survives.
+func diskFullTarget(total int64) int64 { return total * 3 / 4 }
 
-// pruneOldest removes roughly 1/pruneFraction of the persistent tier's
-// entry files, oldest mtime first (plus any leftover temp files, which are
-// pure garbage), returning how many files it deleted. Concurrent readers
-// are safe: a pruned entry is just a future miss.
-func (c *Cache) pruneOldest() int {
+// staleTemp is how old a leftover temp file must be before PruneOldest
+// removes it. A younger one may belong to a storeDiskRaw in progress, whose
+// rename would fail if the file vanished under it.
+const staleTemp = 10 * time.Minute
+
+// PruneOldest bounds the persistent tier: it removes entry files, oldest
+// mtime first, until the remaining entry bytes fit target(total), where
+// total is what the tier held before pruning. Temp files older than
+// staleTemp (torn writes of a crashed process) are removed too. It returns
+// how many files it deleted; a tier without a directory prunes nothing.
+// Removing an entry at any moment is safe — entries are content-addressed
+// and written atomically, so a pruned entry is just a future miss.
+func (c *Cache) PruneOldest(target func(total int64) int64) int {
+	if c.dir == "" {
+		return 0
+	}
 	type file struct {
 		path string
+		size int64
 		mod  time.Time
 	}
 	var entries []file
+	var total int64
 	removed := 0
 	filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return nil
 		}
-		if strings.Contains(d.Name(), ".tmp") {
-			if os.Remove(path) == nil {
-				removed++
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".json") {
+		isTemp := strings.Contains(d.Name(), ".tmp")
+		if !isTemp && !strings.HasSuffix(d.Name(), ".json") {
 			return nil
 		}
 		info, err := d.Info()
 		if err != nil {
 			return nil
 		}
-		entries = append(entries, file{path: path, mod: info.ModTime()})
+		if isTemp {
+			if time.Since(info.ModTime()) > staleTemp && os.Remove(path) == nil {
+				removed++
+			}
+			return nil
+		}
+		entries = append(entries, file{path: path, size: info.Size(), mod: info.ModTime()})
+		total += info.Size()
 		return nil
 	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mod.Before(entries[j].mod) })
-	n := len(entries) / pruneFraction
-	if n == 0 && len(entries) > 0 {
-		n = 1
-	}
-	for _, f := range entries[:n] {
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].mod.Before(entries[j].mod) })
+	left, limit := total, target(total)
+	for _, f := range entries {
+		if left <= limit {
+			break
+		}
 		if os.Remove(f.path) == nil {
+			left -= f.size
 			removed++
 		}
 	}

@@ -55,8 +55,8 @@ func TestLRUEvictionByBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Bytes() > 1000 {
-		t.Fatalf("bytes = %d, want <= 1000", c.Bytes())
+	if b := c.Stats().Bytes; b > 1000 {
+		t.Fatalf("bytes = %d, want <= 1000", b)
 	}
 	if c.Stats().Evictions == 0 {
 		t.Fatal("no evictions despite exceeding the byte bound")
@@ -99,8 +99,8 @@ func TestOversizeEntryStillCached(t *testing.T) {
 	if _, ok := c.Get(k); !ok {
 		t.Fatal("oversize entry not resident")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("len = %d, want 1", n)
 	}
 }
 
@@ -231,6 +231,42 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	e, hit, err := c.GetOrCompute(k, func() (*Entry, error) { return entry(k, "u", `{}`), nil })
 	if err != nil || hit || e == nil {
 		t.Fatalf("retry after failure = %+v, hit=%v, err=%v", e, hit, err)
+	}
+}
+
+// TestGetOrComputeFailedLeaderCountsOnce: followers of a failed compute
+// count nothing, so however the callers split into leaders and followers,
+// misses equal the computes actually run and no hit or share is left over.
+func TestGetOrComputeFailedLeaderCountsOnce(t *testing.T) {
+	c, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key64("fa")
+	boom := errors.New("boom")
+	var computes atomic.Int64
+	gate := make(chan struct{})
+	const callers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, hit, err := c.GetOrCompute(k, func() (*Entry, error) {
+				computes.Add(1)
+				<-gate
+				return nil, boom
+			})
+			if !errors.Is(err, boom) || hit {
+				t.Errorf("caller got hit=%v err=%v, want the leader's failure", hit, err)
+			}
+		}()
+	}
+	close(gate)
+	wg.Wait()
+	s := c.Stats()
+	if n := computes.Load(); s.Misses != n || s.Computes != n || s.Hits != 0 || s.Shared != 0 {
+		t.Fatalf("stats = %+v after %d failed computes, want misses = computes = %d and no hits", s, n, n)
 	}
 }
 

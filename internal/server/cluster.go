@@ -95,9 +95,7 @@ func (s *Server) handleClusterUnit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.draining.Load() {
-		s.mShedDraining.Inc()
-		s.shed(w, http.StatusServiceUnavailable, time.Second, "draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	var assign cluster.AssignPayload
@@ -154,11 +152,6 @@ func (s *Server) handleClusterUnit(w http.ResponseWriter, r *http.Request) {
 			Worker: s.advertiseAddr(), Epoch: assign.Epoch,
 		})
 		return
-	}
-	if hit {
-		s.mCacheHits.Inc()
-	} else {
-		s.mCacheMisses.Inc()
 	}
 	s.clusterDone.Add(1)
 	status, cacheState := "ok", "miss"

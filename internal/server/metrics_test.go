@@ -69,17 +69,36 @@ func verboseHealth(t *testing.T, h http.Handler) map[string]any {
 	return body
 }
 
-// field reads section.name from a verbose health body; an omitted section
-// (memo off, fast tier, inert peer tier) reads as zero.
+// field reads section.name from a verbose health body (a top-level field
+// when section is ""); an omitted section (memo off, fast tier, inert peer
+// tier) reads as zero.
 func field(body map[string]any, section, name string) int64 {
-	sec, _ := body[section].(map[string]any)
+	sec := body
+	if section != "" {
+		sec, _ = body[section].(map[string]any)
+	}
 	v, _ := sec[name].(float64)
 	return int64(v)
 }
 
-// snapshotFields maps each feasibility, memo and peer metric to the verbose
-// health field that reports the same counter.
+// snapshotFields maps each result-cache, shed, feasibility, memo and peer
+// metric to the verbose health field that reports the same counter.
 var snapshotFields = map[string][2]string{
+	"pallas_cache_hits_total":                {"cache", "Hits"},
+	"pallas_cache_misses_total":              {"cache", "Misses"},
+	"pallas_cache_mem_hits_total":            {"cache", "MemHits"},
+	"pallas_cache_disk_hits_total":           {"cache", "DiskHits"},
+	"pallas_cache_shared_total":              {"cache", "Shared"},
+	"pallas_cache_computes_total":            {"cache", "Computes"},
+	"pallas_cache_evictions_total":           {"cache", "Evictions"},
+	"pallas_cache_disk_faults_total":         {"cache", "DiskFaults"},
+	"pallas_cache_disk_full_prunes_total":    {"cache", "DiskFullPrunes"},
+	"pallas_cache_breaker_skips_total":       {"cache", "BreakerSkips"},
+	"pallas_shed_queue_full_total":           {"shed", "queue_full"},
+	"pallas_shed_deadline_total":             {"shed", "deadline"},
+	"pallas_shed_draining_total":             {"shed", "draining"},
+	"pallas_shed_canceled_total":             {"shed", "canceled"},
+	"pallas_shed_rate_limited_total":         {"", "rate_denied_total"},
 	"pallas_feas_paths_pruned_total":         {"feas", "Pruned"},
 	"pallas_feas_contradictions_total":       {"feas", "Contradictions"},
 	"pallas_incr_func_hits_total":            {"incr", "FuncHits"},
@@ -104,9 +123,20 @@ var snapshotFields = map[string][2]string{
 	"pallas_peer_epoch":                      {"peer_cache", "Epoch"},
 }
 
-// assertAgreement checks every pallas_feas_*, pallas_incr_* and
-// pallas_peer_* sample on /metrics against the verbose health snapshot,
-// and that none of the mapped metrics is missing from the exposition.
+// serverCacheEvents are the server's own pallas_cache_* instruments: events
+// of the request path around the result cache (a persist fault served
+// anyway, a checksum mismatch recomputed, the breaker gauge), not lookups
+// the cache counts, so its Stats have no field for them.
+var serverCacheEvents = map[string]bool{
+	MetricPersistFaults:    true,
+	MetricCacheSumMismatch: true,
+	MetricBreakerState:     true,
+}
+
+// assertAgreement checks every pallas_cache_*, pallas_shed_*, pallas_feas_*,
+// pallas_incr_* and pallas_peer_* sample on /metrics against the verbose
+// health snapshot, and that none of the mapped metrics is missing from the
+// exposition.
 func assertAgreement(t *testing.T, label string, h http.Handler) {
 	t.Helper()
 	expo := exposition(t, h)
@@ -126,20 +156,21 @@ func assertAgreement(t *testing.T, label string, h http.Handler) {
 	if total == 0 || expo["pallas_incr_reuse_ratio_x1000"] != hits*1000/total {
 		t.Errorf("%s: reuse ratio %d, want %d/%d", label, expo["pallas_incr_reuse_ratio_x1000"], hits, total)
 	}
+	prefixed := regexp.MustCompile(`^pallas_(cache|shed|feas|incr|peer)_`)
 	for name := range expo {
 		_, mapped := snapshotFields[name]
-		if !mapped && name != "pallas_incr_reuse_ratio_x1000" &&
-			(strings.HasPrefix(name, "pallas_feas_") || strings.HasPrefix(name, "pallas_incr_") || strings.HasPrefix(name, "pallas_peer_")) {
+		if !mapped && name != "pallas_incr_reuse_ratio_x1000" && !serverCacheEvents[name] && prefixed.MatchString(name) {
 			t.Errorf("%s: %s on /metrics has no /healthz?verbose=1 counterpart", label, name)
 		}
 	}
 }
 
 // TestMetricsAgreeWithHealthz: a server with its own registry, at strict
-// with the memo on and one live cache peer, renders the same feasibility,
-// memo and peer counts on /metrics as in /healthz?verbose=1 — both after
-// fresh analyses and after a memo replay in a fresh server on the same
-// memo directory.
+// with the memo on and one live cache peer, renders the same result-cache,
+// shed, feasibility, memo and peer counts on /metrics as in
+// /healthz?verbose=1 — both after fresh analyses, a failing analysis and a
+// refusal while draining, and after a memo replay in a fresh server on the
+// same memo directory.
 func TestMetricsAgreeWithHealthz(t *testing.T) {
 	dir := t.TempDir()
 	strict := pallas.Config{Precision: "strict", Incremental: &pallas.IncrementalOptions{Dir: dir}}
@@ -166,11 +197,23 @@ func TestMetricsAgreeWithHealthz(t *testing.T) {
 			t.Fatalf("analyze %s: status %d", c.ID, code)
 		}
 	}
+	// A failing analysis is a result-cache miss; a refusal while draining
+	// happens before admission. Both count once, in the one store.
+	if code := analyze(t, s1.Handler(), "bad.c", cases[0].Source, "no-such-directive x\n"); code != http.StatusUnprocessableEntity {
+		t.Fatalf("unparsable spec: status %d, want 422", code)
+	}
+	s1.StartDrain()
+	if code := analyze(t, s1.Handler(), "late.c", cases[0].Source, cases[0].Spec); code != http.StatusServiceUnavailable {
+		t.Fatalf("analyze while draining: status %d, want 503", code)
+	}
 	expo := exposition(t, s1.Handler())
 	if expo["pallas_feas_paths_pruned_total"] == 0 || expo["pallas_peer_puts_total"] == 0 {
 		t.Fatalf("strict pruning must show on /metrics, and the peer must take writes: %v", expo)
 	}
 	assertAgreement(t, "fresh", s1.Handler())
+	if expo["pallas_cache_misses_total"] != int64(len(cases))+1 || expo["pallas_shed_draining_total"] != 1 {
+		t.Errorf("want %d cache misses (one failed) and one draining refusal: %v", len(cases)+1, expo)
+	}
 
 	// A fresh server on the same memo directory replays the whole verdict.
 	s2, err := New(Config{Analyzer: strict, Metrics: metrics.NewRegistry()})

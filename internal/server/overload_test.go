@@ -12,6 +12,7 @@ import (
 
 	"pallas"
 	"pallas/internal/failpoint"
+	"pallas/internal/overload"
 )
 
 // postWithClient posts an analyze request with an X-Pallas-Client header and
@@ -275,7 +276,7 @@ func TestServeVerboseHealthz(t *testing.T) {
 	if h.AnalysisWorkers != 3 {
 		t.Fatalf("analysis_workers = %d, want 3", h.AnalysisWorkers)
 	}
-	if h.QueueDepth != 0 || h.Admitted != 1 || h.Shed.Total() != 0 {
+	if h.QueueDepth != 0 || h.Admitted != 1 || h.Shed != (overload.ShedStats{}) {
 		t.Fatalf("admission view = %+v", h)
 	}
 	if h.CacheTier != "memory-only" {

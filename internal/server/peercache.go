@@ -24,7 +24,6 @@ import (
 
 	"pallas/internal/cluster"
 	"pallas/internal/failpoint"
-	"pallas/internal/rcache/peer"
 )
 
 // peerAdmitWait bounds how long a peer cache op may wait for admission:
@@ -53,9 +52,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.draining.Load() {
-		s.mShedDraining.Inc()
-		s.shed(w, http.StatusServiceUnavailable, time.Second, "draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	var get cluster.PeerGetPayload
@@ -126,9 +123,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.draining.Load() {
-		s.mShedDraining.Inc()
-		s.shed(w, http.StatusServiceUnavailable, time.Second, "draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	var put cluster.PeerPutPayload
@@ -188,25 +183,5 @@ func (s *Server) failPeerFrame(w http.ResponseWriter, err error) {
 		s.fail(w, http.StatusRequestEntityTooLarge, "frame too large: %v", err)
 	default:
 		s.fail(w, http.StatusBadRequest, "bad frame: %v", err)
-	}
-}
-
-// PeerTierSummary shapes a tier snapshot for the CLI's -cache-stats dump;
-// defined here so the formatting lives next to the protocol it describes.
-func PeerTierSummary(st peer.Stats) map[string]any {
-	return map[string]any{
-		"epoch":           st.Epoch,
-		"peers":           st.Peers,
-		"hits":            st.Hits,
-		"misses":          st.Misses,
-		"rot_refusals":    st.RotRefusals,
-		"read_repairs":    st.Repairs,
-		"puts":            st.Puts,
-		"put_bytes":       st.PutBytes,
-		"timeouts":        st.Timeouts,
-		"breaker_trips":   st.BreakerTrips,
-		"handoff_queued":  st.HandoffQueued,
-		"handoff_drained": st.HandoffDrained,
-		"handoff_dropped": st.HandoffDropped,
 	}
 }

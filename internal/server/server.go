@@ -61,9 +61,6 @@ const (
 	MetricUnitsAnalyzed = "pallas_units_analyzed_total"
 	// MetricDegraded counts analyses that completed partially.
 	MetricDegraded = "pallas_degraded_total"
-	// MetricCacheHits / MetricCacheMisses count result-cache outcomes.
-	MetricCacheHits   = "pallas_cache_hits_total"
-	MetricCacheMisses = "pallas_cache_misses_total"
 	// MetricRequests counts accepted /v1/analyze requests.
 	MetricRequests = "pallas_requests_total"
 	// MetricRequestErrors counts /v1/analyze requests answered with an
@@ -74,18 +71,12 @@ const (
 	// MetricRequestSeconds is the /v1/analyze latency histogram.
 	MetricRequestSeconds = "pallas_request_seconds"
 
-	// MetricShedQueueFull counts requests shed because the admission queue
-	// was at capacity.
-	MetricShedQueueFull = "pallas_shed_queue_full_total"
-	// MetricShedDeadline counts requests shed because their deadline passed
-	// or provably could not be met.
-	MetricShedDeadline = "pallas_shed_deadline_total"
-	// MetricShedRateLimited counts requests refused by the token-bucket
-	// rate limiter.
-	MetricShedRateLimited = "pallas_shed_rate_limited_total"
-	// MetricShedDraining counts requests rejected because the server was
-	// draining.
-	MetricShedDraining = "pallas_shed_draining_total"
+	// MetricShed* count shed requests by reason; the admission controller
+	// and the rate limiter register them (see internal/metrics).
+	MetricShedQueueFull   = metrics.MetricShedQueueFull
+	MetricShedDeadline    = metrics.MetricShedDeadline
+	MetricShedRateLimited = metrics.MetricShedRateLimited
+	MetricShedDraining    = metrics.MetricShedDraining
 	// MetricQueueDepth gauges requests waiting in the admission queue.
 	MetricQueueDepth = "pallas_queue_depth"
 	// MetricEffectiveLimit gauges the adaptive limiter's current effective
@@ -175,8 +166,9 @@ type Config struct {
 	// CachePeerTimeout overrides the tier's per-op deadline (tests; <= 0
 	// means peer.DefaultOpTimeout).
 	CachePeerTimeout time.Duration
-	// Metrics receives the server's and the peer tier's instruments; nil
-	// means a registry of the server's own. The analyzer keeps its
+	// Metrics receives the server's, the result cache's, the overload
+	// layer's and the peer tier's instruments; nil means a registry of the
+	// server's own. The analyzer keeps its
 	// feasibility and memo counters in a registry of its own
 	// (pallas.Analyzer.Metrics); /metrics renders this one, then that one.
 	Metrics *metrics.Registry
@@ -211,14 +203,8 @@ type Server struct {
 
 	mRequests     *metrics.Counter
 	mErrors       *metrics.Counter
-	mCacheHits    *metrics.Counter
-	mCacheMisses  *metrics.Counter
 	mAnalyzed     *metrics.Counter
 	mDegraded     *metrics.Counter
-	mShedQueue    *metrics.Counter
-	mShedDeadline *metrics.Counter
-	mShedRate     *metrics.Counter
-	mShedDraining *metrics.Counter
 	mPersistFault *metrics.Counter
 	mSumMismatch  *metrics.Counter
 	gInFlight     *metrics.Gauge
@@ -230,18 +216,19 @@ type Server struct {
 
 // New builds a server (opening the cache directory when configured).
 func New(cfg Config) (*Server, error) {
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	cache, err := rcache.Open(rcache.Options{
 		MaxBytes:         cfg.CacheBytes,
 		Dir:              cfg.CacheDir,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
+		Registry:         reg,
 	})
 	if err != nil {
 		return nil, err
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
 	}
 	maxBody := cfg.MaxRequestBytes
 	if maxBody <= 0 {
@@ -305,9 +292,9 @@ func New(cfg Config) (*Server, error) {
 		cache:    cache,
 		peers:    tier,
 		gate:     gate,
-		ctrl:     overload.NewController(limiter, maxQueue),
+		ctrl:     overload.NewController(limiter, maxQueue, reg),
 		limiter:  limiter,
-		rate:     overload.NewRateLimiter(cfg.RatePerClient, cfg.RateBurst, cfg.GlobalRate, cfg.GlobalBurst),
+		rate:     overload.NewRateLimiter(cfg.RatePerClient, cfg.RateBurst, cfg.GlobalRate, cfg.GlobalBurst, reg),
 		reg:      reg,
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
@@ -319,14 +306,8 @@ func New(cfg Config) (*Server, error) {
 
 		mRequests:     reg.Counter(MetricRequests, "accepted analyze requests"),
 		mErrors:       reg.Counter(MetricRequestErrors, "analyze requests answered with an error"),
-		mCacheHits:    reg.Counter(MetricCacheHits, "result-cache hits"),
-		mCacheMisses:  reg.Counter(MetricCacheMisses, "result-cache misses"),
 		mAnalyzed:     reg.Counter(MetricUnitsAnalyzed, "analysis pipeline executions (cache and resume misses)"),
 		mDegraded:     reg.Counter(MetricDegraded, "analyses that completed partially"),
-		mShedQueue:    reg.Counter(MetricShedQueueFull, "requests shed: admission queue full"),
-		mShedDeadline: reg.Counter(MetricShedDeadline, "requests shed: deadline unmeetable"),
-		mShedRate:     reg.Counter(MetricShedRateLimited, "requests shed: rate limited"),
-		mShedDraining: reg.Counter(MetricShedDraining, "requests shed: draining"),
 		mPersistFault: reg.Counter(MetricPersistFaults, "served results that could not be persisted"),
 		mSumMismatch:  reg.Counter(MetricCacheSumMismatch, "cache entries failing their content checksum, recomputed"),
 		gInFlight:     reg.Gauge(MetricInFlight, "requests currently being served"),
@@ -378,9 +359,6 @@ func (s *Server) StartDrain() {
 	s.draining.Store(true)
 	s.ctrl.Drain()
 }
-
-// Draining reports whether StartDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // AnalyzeRequest is the /v1/analyze body.
 type AnalyzeRequest struct {
@@ -508,15 +486,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.draining.Load() {
-		s.mShedDraining.Inc()
-		s.shed(w, http.StatusServiceUnavailable, time.Second, "draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	// Rate limiting happens before the body is even read: refusing a
 	// too-chatty client must stay O(1).
 	if ok, wait := s.rate.Allow(clientKey(r)); !ok {
-		s.mShedRate.Inc()
 		s.shed(w, http.StatusTooManyRequests, jitterRetry(wait), "rate limit exceeded for client %q", clientKey(r))
 		return
 	}
@@ -592,11 +567,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if hit {
-		s.mCacheHits.Inc()
-	} else {
-		s.mCacheMisses.Inc()
-	}
 	cacheState := "miss"
 	if hit {
 		cacheState = "hit"
@@ -613,19 +583,29 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// shedForReason maps an admission failure to its status code, metric, and
-// Retry-After hint.
+// refuseDraining answers 503 while the server drains, counting the refusal
+// on the controller's draining counter (by name, in the server's registry)
+// so Shed().Draining covers refusals made before admission too. It reports
+// whether it answered.
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	s.reg.Counter(metrics.MetricShedDraining, "").Inc()
+	s.shed(w, http.StatusServiceUnavailable, time.Second, "draining")
+	return true
+}
+
+// shedForReason maps an admission failure to its status code and
+// Retry-After hint; the controller has already counted the shed.
 func (s *Server) shedForReason(w http.ResponseWriter, err error) {
 	retry := jitterRetry(s.ctrl.RetryAfter())
 	switch {
 	case errors.Is(err, overload.ErrQueueFull):
-		s.mShedQueue.Inc()
 		s.shed(w, http.StatusServiceUnavailable, retry, "overloaded: admission queue full")
 	case errors.Is(err, overload.ErrDeadline):
-		s.mShedDeadline.Inc()
 		s.shed(w, http.StatusServiceUnavailable, retry, "overloaded: deadline cannot be met")
 	case errors.Is(err, overload.ErrDraining):
-		s.mShedDraining.Inc()
 		s.shed(w, http.StatusServiceUnavailable, time.Second, "draining")
 	default:
 		// Client context canceled or similar: the caller is gone, but
@@ -789,13 +769,14 @@ func (s *Server) health() healthBody {
 		// traffic should move elsewhere.
 		status = "draining"
 	}
+	cs := s.cache.Stats()
 	return healthBody{
 		Status:        status,
 		InFlight:      s.gate.InFlight(),
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
 		Workers:       s.gate.Cap(),
-		CacheEntries:  s.cache.Len(),
-		CacheBytes:    s.cache.Bytes(),
+		CacheEntries:  cs.Entries,
+		CacheBytes:    cs.Bytes,
 	}
 }
 
@@ -809,7 +790,7 @@ func (s *Server) Snapshot() Health {
 		EffectiveLimit:  s.ctrl.EffectiveLimit(),
 		MinWorkers:      s.limiter.Min(),
 		AnalysisWorkers: s.aworkers,
-		MaxQueue:        s.maxQueue(),
+		MaxQueue:        s.maxQ,
 		Admitted:        s.ctrl.Admitted(),
 		Shed:            s.ctrl.Shed(),
 		RateDenied:      s.rate.Denied(),
@@ -833,9 +814,6 @@ func (s *Server) Snapshot() Health {
 	}
 	return body
 }
-
-// maxQueue reports the admission queue bound (for health reporting).
-func (s *Server) maxQueue() int { return s.maxQ }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.syncGauges()

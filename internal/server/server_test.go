@@ -110,8 +110,8 @@ func TestServeColdWarmByteIdentical(t *testing.T) {
 	defer mresp.Body.Close()
 	mb, _ := io.ReadAll(mresp.Body)
 	for _, want := range []string{
-		MetricCacheMisses + " 1\n",
-		MetricCacheHits + " 1\n",
+		metrics.MetricCacheMisses + " 1\n",
+		metrics.MetricCacheHits + " 1\n",
 		MetricUnitsAnalyzed + " 1\n",
 		MetricRequests + " 2\n",
 		MetricInFlight + " 0\n",
