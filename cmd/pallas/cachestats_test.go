@@ -68,7 +68,7 @@ pallas: peer cache: off (enable with -cache-peers or cluster mode)
 pallas: func memo: 0 hit(s), 3 miss(es), 0 invalidation(s); unit verdicts: 0 hit(s), 3 miss(es)
 pallas: feas (strict): 3 path(s) pruned, 3 contradiction(s)
 pallas: peer cache: epoch 1, 2 peer(s): 0 hit(s), 9 miss(es), 0 rot refusal(s), 0 read repair(s), 0 timeout(s)
-pallas: peer cache: 9 put(s) (8549 bytes replicated); handoff 0 queued, 0 drained, 0 dropped, 0 pending; 0 breaker trip(s), 0 stale-epoch refusal(s)
+pallas: peer cache: 9 put(s) (5457 bytes replicated); handoff 0 queued, 0 drained, 0 dropped, 0 pending; 0 breaker trip(s), 0 stale-epoch refusal(s)
 `},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,11 +11,22 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pallas"
 	"pallas/internal/failpoint"
+	"pallas/internal/guard"
+	"pallas/internal/pathdb"
+	"pallas/internal/rcache"
 )
 
 // incrSrc builds the test unit: top → mid → leaf call chain plus an
@@ -347,4 +358,266 @@ func TestIncrementalDifferentialReplay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// deepPadded is testdata/deep_padded.c with its spec: the deep golden unit
+// whose extraction dwarfs its preprocessing and parsing.
+func deepPadded(t *testing.T) goldenUnit {
+	t.Helper()
+	us := deepGoldenUnits(t)
+	return us[len(us)-1]
+}
+
+// pathBytes renders a path database both ways a consumer can: the compact
+// JSON a server ships and the indented file Save writes.
+func pathBytes(t *testing.T, db *pallas.PathDB) (string, string) {
+	t.Helper()
+	js, err := json.Marshal(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := db.Write(&file); err != nil {
+		t.Fatal(err)
+	}
+	return string(js), file.String()
+}
+
+// TestIncrementalReplayDerivesPathsOnRead: a unit verdict memo stores no
+// path database. A replayed Result derives its paths on first read; they
+// match a cold run byte for byte, a replay whose paths nobody reads runs
+// no extraction, concurrent first reads fill once, and a unit record of
+// the older layout (path database in the entry) is a miss.
+func TestIncrementalReplayDerivesPathsOnRead(t *testing.T) {
+	u := deepPadded(t)
+	analyze := func(t *testing.T, a *pallas.Analyzer) *pallas.Result {
+		t.Helper()
+		res, err := a.AnalyzeSource(u.file, u.src, u.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	warmAnalyzer := func(t *testing.T, cfg pallas.Config) *pallas.Analyzer {
+		t.Helper()
+		a := pallas.New(cfg)
+		if err := a.EnsureIncremental(); err != nil {
+			t.Fatal(err)
+		}
+		analyze(t, a) // stores the verdict
+		return a
+	}
+
+	t.Run("bytes", func(t *testing.T) {
+		for _, tier := range []string{"fast", "balanced", "strict"} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/workers=%d", tier, workers), func(t *testing.T) {
+					cold := pallas.Config{Precision: tier, AnalysisWorkers: workers}
+					wantJSON, wantFile := pathBytes(t, analyze(t, pallas.New(cold)).Paths)
+					icfg := cold
+					icfg.Incremental = &pallas.IncrementalOptions{}
+					a := warmAnalyzer(t, icfg)
+					res := analyze(t, a)
+					if st, _ := a.IncrStats(); st.UnitHits != 1 {
+						t.Fatalf("second analysis did not replay: %+v", st)
+					}
+					if res.Paths.NumPaths() == 0 {
+						t.Fatal("replayed path database is empty")
+					}
+					gotJSON, gotFile := pathBytes(t, res.Paths)
+					if gotJSON != wantJSON {
+						t.Fatal("replayed path database JSON drifted from the cold run")
+					}
+					if gotFile != wantFile {
+						t.Fatal("replayed path database file drifted from the cold run")
+					}
+				})
+			}
+		}
+	})
+
+	t.Run("report-only replay runs no extraction", func(t *testing.T) {
+		cold := testing.AllocsPerRun(2, func() { analyze(t, pallas.New(pallas.Config{})) })
+		a := warmAnalyzer(t, pallas.Config{Incremental: &pallas.IncrementalOptions{}})
+		replay := testing.AllocsPerRun(5, func() { analyze(t, a) })
+		if replay*10 >= cold {
+			t.Fatalf("report-only replay allocated %.0f times, cold analysis %.0f: want under a tenth", replay, cold)
+		}
+	})
+
+	t.Run("concurrent first reads fill once", func(t *testing.T) {
+		var fills atomic.Int32
+		start := make(chan struct{})
+		lazy := pathdb.Lazy("u.c", func() (*pathdb.DB, error) {
+			fills.Add(1)
+			time.Sleep(20 * time.Millisecond) // every reader arrives mid-fill
+			db := pathdb.New("u.c")
+			db.Put(&pallas.FuncPaths{Fn: "f", Signature: "f(a)"})
+			return db, nil
+		})
+		a := warmAnalyzer(t, pallas.Config{Incremental: &pallas.IncrementalOptions{}, AnalysisWorkers: 4})
+		replayed := analyze(t, a).Paths
+		want, _ := pathBytes(t, analyze(t, pallas.New(pallas.Config{})).Paths)
+
+		var wg sync.WaitGroup
+		got := make([]string, 8)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if len(lazy.Funcs()) != 1 || lazy.Get("f") == nil || lazy.NumPaths() != 0 {
+					t.Errorf("reader %d saw an unfilled database", i)
+				}
+				b, err := json.Marshal(replayed)
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = string(b)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := fills.Load(); n != 1 {
+			t.Fatalf("eight concurrent readers ran fill %d times, want 1", n)
+		}
+		for i, g := range got {
+			if g != want {
+				t.Fatalf("reader %d: replayed path database drifted from the cold run", i)
+			}
+		}
+	})
+
+	t.Run("path read seeds from the function memo without counting", func(t *testing.T) {
+		src := incrSrc("a + 1")
+		want := analyzeIncr(t, pallas.Config{}, src)
+		a := pallas.New(pallas.Config{Incremental: &pallas.IncrementalOptions{}})
+		for i := 0; i < 2; i++ { // store, then replay
+			if _, err := a.AnalyzeSource("unit.c", src, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := a.AnalyzeSource("unit.c", src, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _ := a.IncrStats()
+		if before.UnitHits != 2 {
+			t.Fatalf("stats = %+v, want two verdict replays", before)
+		}
+		// Every analyzed function has a record, so the fill extracts
+		// nothing and an armed extraction fault cannot reach it.
+		if err := failpoint.Arm("extract-func=error"); err != nil {
+			t.Fatal(err)
+		}
+		defer failpoint.Disarm()
+		wantRep, wantPaths := resultBytes(t, want)
+		if rep, db := resultBytes(t, res); rep != wantRep || db != wantPaths {
+			t.Fatal("replayed result drifted from the cold run")
+		}
+		if after, _ := a.IncrStats(); after != before {
+			t.Fatalf("reading replayed paths moved the memo counters: %+v -> %+v", before, after)
+		}
+	})
+
+	t.Run("failed fill is an error, not an empty database", func(t *testing.T) {
+		// MaxPaths 1 truncates big, and truncated functions have no memo
+		// record, so the fill must extract big again: under an injected
+		// fault, or slowly enough to spend the fill's own deadline.
+		var src strings.Builder
+		src.WriteString("// @pallas: fastpath big\nint big(int a)\n{\n\tint r = 0;\n")
+		for i := 0; i < 300; i++ {
+			fmt.Fprintf(&src, "\tif (a > %d) r = r + %d;\n", i, i)
+		}
+		src.WriteString("\treturn r;\n}\n")
+		for fault, want := range map[string]error{
+			"extract-func=error/big":        failpoint.ErrInjected,
+			"extract-func=sleep:1200ms/big": guard.ErrDeadline,
+		} {
+			cfg := pallas.Config{MaxPaths: 1, Deadline: time.Second,
+				Incremental: &pallas.IncrementalOptions{}}
+			a := pallas.New(cfg)
+			var res *pallas.Result
+			for i := 0; i < 2; i++ {
+				var err error
+				if res, err = a.AnalyzeSource("unit.c", src.String(), ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st, _ := a.IncrStats(); st.UnitHits != 1 || res.Degraded() {
+				t.Fatalf("stats = %+v, degraded %v: want a clean replay", st, res.Degraded())
+			}
+			if err := failpoint.Arm(fault); err != nil {
+				t.Fatal(err)
+			}
+			_, merr := json.Marshal(res.Paths)
+			werr := res.Paths.Write(io.Discard)
+			failpoint.Disarm()
+			if !errors.Is(merr, want) || !errors.Is(werr, want) {
+				t.Fatalf("%s: json.Marshal err = %v, Write err = %v; want %v", fault, merr, werr, want)
+			}
+			if res.Paths.Get("big") != nil || len(res.Paths.Diagnostics) != 0 {
+				t.Fatalf("%s: a failed fill produced entries or diagnostics", fault)
+			}
+		}
+	})
+
+	t.Run("v2 unit record is a miss", func(t *testing.T) {
+		dir := t.TempDir()
+		icfg := pallas.Config{Incremental: &pallas.IncrementalOptions{Dir: dir}}
+		coldRes := analyze(t, pallas.New(pallas.Config{}))
+		wantPaths, _ := pathBytes(t, coldRes.Paths)
+		warmAnalyzer(t, icfg)
+
+		// Rewrite the stored verdict into the version-2 layout: the same
+		// header under version 2, the path database in the entry's Paths,
+		// and a Sum over both, so only the version can refuse it.
+		rewritten := 0
+		filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
+				return nil
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e rcache.Entry
+			if err := json.Unmarshal(b, &e); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(e.Unit, "incr-unit:") {
+				return nil
+			}
+			v2 := strings.Replace(string(e.Report), `{"version":3,`, `{"version":2,`, 1)
+			if v2 == string(e.Report) {
+				t.Fatalf("unit record is not version 3: %.80s", e.Report)
+			}
+			e.Report, e.Paths = json.RawMessage(v2), json.RawMessage(wantPaths)
+			e.Sum = rcache.ContentSum(e.Report, e.Paths)
+			if b, err = json.Marshal(&e); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rewritten++
+			return nil
+		})
+		if rewritten != 1 {
+			t.Fatalf("rewrote %d unit records, want 1", rewritten)
+		}
+
+		a := pallas.New(icfg)
+		if err := a.EnsureIncremental(); err != nil {
+			t.Fatal(err)
+		}
+		res := analyze(t, a)
+		if st, _ := a.IncrStats(); st.UnitHits != 0 || st.UnitMisses != 1 {
+			t.Fatalf("stats = %+v, want the version-2 unit record to miss", st)
+		}
+		wantRep, _ := resultBytes(t, coldRes)
+		if rep, db := resultBytes(t, res); rep != wantRep || db != wantPaths {
+			t.Fatal("analysis after a version-2 miss drifted from the cold run")
+		}
+	})
 }

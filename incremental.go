@@ -15,6 +15,9 @@ import (
 	"strings"
 
 	"pallas/internal/cast"
+	"pallas/internal/checkers"
+	"pallas/internal/feas"
+	"pallas/internal/guard"
 	"pallas/internal/incr"
 	"pallas/internal/pathdb"
 	"pallas/internal/paths"
@@ -123,10 +126,12 @@ func (a *Analyzer) newMemoRun(st *incr.Store, tu *cast.TranslationUnit) *memoRun
 
 // replayUnit returns a complete Result when the whole-unit verdict memo
 // holds an entry for the unit's current fingerprint — the fast path for
-// no-op and formatting-only re-checks. The replayed report and path
-// database are the stored bytes of a previous clean run whose inputs were,
-// by construction of the key, identical to this one's.
-func (m *memoRun) replayUnit(tu *cast.TranslationUnit, sp *spec.Spec, merged string) *Result {
+// no-op and formatting-only re-checks. The replayed report is the stored
+// bytes of a previous clean run whose inputs were, by construction of the
+// key, identical to this one's; its path database is not stored, so
+// fillPaths derives it on first read.
+func (m *memoRun) replayUnit(tu *cast.TranslationUnit, sp *spec.Spec, merged string,
+	fillPaths func() (*pathdb.DB, error)) *Result {
 	fp := m.g.UnitFingerprint()
 	m.unitKey = incr.UnitKey(m.cfgUFP, m.unit, sp.String(), fp)
 	rec := m.st.GetUnit(m.unitKey, m.unit, fp)
@@ -137,31 +142,73 @@ func (m *memoRun) replayUnit(tu *cast.TranslationUnit, sp *spec.Spec, merged str
 	if json.Unmarshal(rec.Report, rep) != nil {
 		return nil
 	}
-	db := &pathdb.DB{}
-	if json.Unmarshal(rec.PathDB, db) != nil {
-		return nil
+	return &Result{Report: rep, Spec: sp, Paths: pathdb.Lazy(tu.File, fillPaths), Merged: merged, tu: tu}
+}
+
+// derivePaths returns the fill of a replayed verdict's path database: it
+// re-runs extraction over the parsed unit and spec with the paths.Config of
+// the memoized run, seeded with the function records that run left in the
+// memo's local tiers, so a replay whose paths are read costs no more than a
+// warm miss. Extraction is deterministic and seeded records replay
+// byte-identically, so the database matches a cold run's. The fill
+// counts no memo lookup and no feasibility figure, since the verdict it
+// belongs to was already counted. It runs under a budget of its own, and
+// one that runs out fails the fill instead of truncating paths the
+// memoized run did not truncate.
+func (a *Analyzer) derivePaths(m *memoRun, tu *cast.TranslationUnit, sp *spec.Spec, tier feas.Tier) func() (*pathdb.DB, error) {
+	return func() (*pathdb.DB, error) {
+		var db *pathdb.DB
+		err := guard.Protect(guard.StageExtract, tu.File, func() error {
+			budget := a.newBudget()
+			pcfg := a.pathsConfig(budget, tier)
+			pcfg.Seed = m.recorded(sp)
+			ctx, err := checkers.NewContext(tu, sp, pcfg)
+			if err == nil {
+				err = budget.Err()
+			}
+			if err == nil {
+				db = buildPathDB(ctx, nil)
+			}
+			return err
+		})
+		return db, err
 	}
-	if db.Entries == nil {
-		db.Entries = map[string]*pathdb.Entry{}
+}
+
+// funcKeys calls visit with the memo key and transitive fingerprint of
+// every analyzed function the unit defines.
+func (m *memoRun) funcKeys(sp *spec.Spec, visit func(fn, key, fp string)) {
+	for _, fn := range sp.AnalyzedFuncs() {
+		if !m.g.Defined(fn) {
+			continue
+		}
+		fp := m.g.Transitive(fn)
+		visit(fn, incr.FuncKey(m.cfgXFP, m.g.Ambient(), fp), fp)
 	}
-	return &Result{Report: rep, Spec: sp, Paths: db, Merged: merged, tu: tu}
+}
+
+// recorded returns the function records the local memo tiers hold for the
+// unit, read without counting (incr.Store.PeekFunc).
+func (m *memoRun) recorded(sp *spec.Spec) map[string]*paths.FuncPaths {
+	out := map[string]*paths.FuncPaths{}
+	m.funcKeys(sp, func(fn, key, fp string) {
+		if p := m.st.PeekFunc(key, fn, fp); p != nil {
+			out[fn] = p
+		}
+	})
+	return out
 }
 
 // seed looks up every analyzed function's memo entry and returns the hits
 // for paths.Config.Seed. Misses remember their key so store can memoize the
 // fresh extraction afterwards.
 func (m *memoRun) seed(sp *spec.Spec) map[string]*paths.FuncPaths {
-	for _, fn := range sp.AnalyzedFuncs() {
-		if !m.g.Defined(fn) {
-			continue
-		}
-		fp := m.g.Transitive(fn)
-		key := incr.FuncKey(m.cfgXFP, m.g.Ambient(), fp)
+	m.funcKeys(sp, func(fn, key, fp string) {
 		m.keys[fn], m.fps[fn] = key, fp
 		if p := m.st.GetFunc(key, m.unit, fn, fp); p != nil {
 			m.seeded[fn] = p
 		}
-	}
+	})
 	return m.seeded
 }
 
@@ -169,7 +216,7 @@ func (m *memoRun) seed(sp *spec.Spec) map[string]*paths.FuncPaths {
 // refuses truncated results itself) and the whole-unit verdict. Callers
 // gate on a clean, non-degraded result; memo write failures are absorbed
 // inside the store so they can never perturb analysis output.
-func (m *memoRun) store(fps map[string]*paths.FuncPaths, rep *report.Report, db *pathdb.DB) {
+func (m *memoRun) store(fps map[string]*paths.FuncPaths, rep *report.Report) {
 	for fn, fp := range fps {
 		if m.seeded[fn] != nil || m.keys[fn] == "" {
 			continue
@@ -183,14 +230,9 @@ func (m *memoRun) store(fps map[string]*paths.FuncPaths, rep *report.Report, db 
 	if err != nil {
 		return
 	}
-	dbB, err := json.Marshal(db)
-	if err != nil {
-		return
-	}
 	m.st.PutUnit(m.unitKey, &incr.UnitRecord{
 		Unit:        m.unit,
 		Fingerprint: m.g.UnitFingerprint(),
 		Report:      repB,
-		PathDB:      dbB,
 	})
 }

@@ -15,7 +15,7 @@ import (
 // TestIncrRecordFormatPinned.
 const (
 	FuncRecordVersion = 1
-	UnitRecordVersion = 2
+	UnitRecordVersion = 3
 )
 
 // DefaultMaxBytes bounds the memo store when Options.MaxBytes is unset.
@@ -36,11 +36,10 @@ type FuncRecord struct {
 }
 
 // UnitRecord is the persisted form of one memoized whole-unit verdict: the
-// exact report and path-database bytes a clean (non-degraded) analysis of
-// the unit produced. Only the header — every field but PathDB — is JSON:
-// it is the cache entry's Report. The path database rides verbatim in the
-// entry's Paths, so writing or replaying a verdict passes over its bytes
-// once.
+// exact report bytes a clean (non-degraded) analysis of the unit produced,
+// as one JSON document in the cache entry's Report. The path database is
+// not stored: extraction is deterministic, so a replay re-derives it from
+// the unit on first read (pallas' memoRun.replayUnit).
 type UnitRecord struct {
 	// Version is UnitRecordVersion at write time.
 	Version int `json:"version"`
@@ -50,9 +49,6 @@ type UnitRecord struct {
 	Fingerprint string `json:"fingerprint"`
 	// Report is the marshaled report.Report.
 	Report json.RawMessage `json:"report"`
-	// PathDB is the marshaled pathdb.DB, stored as rcache.Entry.Paths. On a
-	// GetUnit hit it aliases the cached entry's bytes: read-only.
-	PathDB []byte `json:"-"`
 }
 
 // SharedTier is the cluster-wide cache tier the memo can ride on (the peer
@@ -193,19 +189,27 @@ func (s *Store) put(e *rcache.Entry) {
 // miss. unit and fn identify the lookup slot for invalidation accounting;
 // fingerprint is re-verified against the record.
 func (s *Store) GetFunc(key, unit, fn, fingerprint string) *paths.FuncPaths {
-	rec := s.loadFunc(key, fn, fingerprint)
-	s.trackFunc(unit, fn, fingerprint, rec != nil)
-	if rec == nil {
-		return nil
+	var fp *paths.FuncPaths
+	if e, ok := s.get(key); ok {
+		fp = decodeFunc(e, fn, fingerprint)
 	}
-	return rec.Paths
+	s.trackFunc(unit, fn, fingerprint, fp != nil)
+	return fp
 }
 
-func (s *Store) loadFunc(key, fn, fingerprint string) *FuncRecord {
-	e, ok := s.get(key)
-	if !ok {
-		return nil
+// PeekFunc is GetFunc without a lookup: it reads only the store's local
+// tiers and counts nothing, for re-deriving what an already-counted
+// verdict replay stands for.
+func (s *Store) PeekFunc(key, fn, fingerprint string) *paths.FuncPaths {
+	if e, ok := s.cache.Peek(key); ok {
+		return decodeFunc(e, fn, fingerprint)
 	}
+	return nil
+}
+
+// decodeFunc returns a function record entry's extraction, or nil when the
+// record is malformed, of another layout or slot, or truncated.
+func decodeFunc(e *rcache.Entry, fn, fingerprint string) *paths.FuncPaths {
 	var rec FuncRecord
 	if json.Unmarshal(e.Report, &rec) != nil {
 		return nil
@@ -216,7 +220,7 @@ func (s *Store) loadFunc(key, fn, fingerprint string) *FuncRecord {
 	if rec.Paths == nil || rec.Paths.Truncated {
 		return nil
 	}
-	return &rec
+	return rec.Paths
 }
 
 // PutFunc memoizes one extraction result. Truncated results are refused:
@@ -265,19 +269,16 @@ func (s *Store) loadUnit(key, unit, fingerprint string) *UnitRecord {
 	if rec.Version != UnitRecordVersion || rec.Unit != unit || rec.Fingerprint != fingerprint {
 		return nil
 	}
-	rec.PathDB = e.Paths
-	if len(rec.Report) == 0 || len(rec.PathDB) == 0 {
+	if len(rec.Report) == 0 {
 		return nil
 	}
 	return &rec
 }
 
-// PutUnit memoizes a whole-unit verdict: the header as the entry's Report,
-// rec.PathDB as its Paths. The cache keeps rec.PathDB itself, not a copy,
-// so the caller must not modify it afterwards; rec is left unmodified.
-// Like PutFunc, failures are absorbed.
+// PutUnit memoizes a whole-unit verdict; rec is left unmodified. Like
+// PutFunc, failures are absorbed.
 func (s *Store) PutUnit(key string, rec *UnitRecord) {
-	if rec == nil || len(rec.Report) == 0 || len(rec.PathDB) == 0 {
+	if rec == nil || len(rec.Report) == 0 {
 		return
 	}
 	hdr := *rec
@@ -290,10 +291,9 @@ func (s *Store) PutUnit(key string, rec *UnitRecord) {
 		Key:    key,
 		Unit:   "incr-unit:" + rec.Unit,
 		Report: b,
-		Paths:  rec.PathDB,
-		Sum:    rcache.ContentSum(b, rec.PathDB),
+		Sum:    rcache.ContentSum(b, nil),
 	})
-	s.noteWrite(int64(len(b) + len(rec.PathDB)))
+	s.noteWrite(int64(len(b)))
 }
 
 // Stats reads the store's registry counters: memo activity since the

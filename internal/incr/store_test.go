@@ -107,7 +107,6 @@ func TestStoreUnitRoundTrip(t *testing.T) {
 		Unit:        "u.c",
 		Fingerprint: "ufp1",
 		Report:      json.RawMessage(`{"unit":"u.c"}`),
-		PathDB:      json.RawMessage(`{"target":"u.c"}`),
 	}
 	key := UnitKey("cfg", "u.c", "spec", "ufp1")
 	s.PutUnit(key, rec)
@@ -119,7 +118,7 @@ func TestStoreUnitRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("stored verdict missed")
 	}
-	if string(got.Report) != `{"unit":"u.c"}` || string(got.PathDB) != `{"target":"u.c"}` {
+	if string(got.Report) != `{"unit":"u.c"}` {
 		t.Fatalf("verdict bytes drifted: %+v", got)
 	}
 	if s.GetUnit(key, "u.c", "ufp2") != nil {
@@ -133,9 +132,10 @@ func TestStoreUnitRoundTrip(t *testing.T) {
 
 // TestIncrRecordFormatPinned pins both memo record layouts byte for byte.
 // A function record is one JSON document in the cache entry's Report. A
-// unit record (version 2) is a small JSON header in Report with the path
-// database verbatim in Paths, and Sum covering both. A version-1 unit
-// record — path database nested in the envelope — must read as a miss.
+// unit record (version 3) is one JSON document in Report too: the verdict
+// header and report, with no path database anywhere in the entry. Older
+// unit records — version 1 nested the path database in the document,
+// version 2 carried it in the entry's Paths — must read as misses.
 func TestIncrRecordFormatPinned(t *testing.T) {
 	s := openStore(t, Options{})
 	raw := func(key string) *rcache.Entry {
@@ -158,14 +158,14 @@ func TestIncrRecordFormatPinned(t *testing.T) {
 		report = `{"unit":"u.c","warnings":[]}`
 		pathdb = `{"target":"u.c","entries":{}}`
 	)
-	s.PutUnit("key-unit", &UnitRecord{Unit: "u.c", Fingerprint: "ufp1", Report: json.RawMessage(report), PathDB: []byte(pathdb)})
+	s.PutUnit("key-unit", &UnitRecord{Unit: "u.c", Fingerprint: "ufp1", Report: json.RawMessage(report)})
 	e = raw("key-unit")
-	const wantHeader = `{"version":2,"unit":"u.c","fingerprint":"ufp1","report":` + report + `}`
-	if string(e.Report) != wantHeader || string(e.Paths) != pathdb || e.Sum != "bb050eed" || e.Unit != "incr-unit:u.c" {
-		t.Fatalf("unit record drifted:\n report %s\n paths %s\n sum %s unit %s", e.Report, e.Paths, e.Sum, e.Unit)
+	const wantUnit = `{"version":3,"unit":"u.c","fingerprint":"ufp1","report":` + report + `}`
+	if string(e.Report) != wantUnit || len(e.Paths) != 0 || e.Sum != "8a472303" || e.Unit != "incr-unit:u.c" {
+		t.Fatalf("unit record drifted:\n report %s\n paths %q\n sum %s unit %s", e.Report, e.Paths, e.Sum, e.Unit)
 	}
-	if e.Sum != rcache.ContentSum([]byte(wantHeader), []byte(pathdb)) {
-		t.Fatal("unit record sum does not cover header and path database")
+	if e.Sum != rcache.ContentSum([]byte(wantUnit), nil) {
+		t.Fatal("unit record sum does not cover the record")
 	}
 
 	v1 := []byte(`{"version":1,"unit":"u.c","fingerprint":"ufp1","report":` + report + `,"pathdb":` + pathdb + `}`)
@@ -173,31 +173,32 @@ func TestIncrRecordFormatPinned(t *testing.T) {
 	if s.GetUnit("key-v1", "u.c", "ufp1") != nil {
 		t.Fatal("version-1 unit record (nested path database) replayed")
 	}
-	// The version alone decides: a v1 header is a miss even when a path
-	// database also rides out of band.
-	s.cache.Put(&rcache.Entry{Key: "key-v1b", Unit: "incr-unit:u.c", Report: v1, Paths: []byte(pathdb), Sum: rcache.ContentSum(v1, []byte(pathdb))})
-	if s.GetUnit("key-v1b", "u.c", "ufp1") != nil {
-		t.Fatal("version-1 unit header replayed")
+	// The version alone decides: a v2 record — header in Report, path
+	// database out of band in Paths — is a miss although its header
+	// decodes into the v3 layout.
+	v2 := []byte(`{"version":2,"unit":"u.c","fingerprint":"ufp1","report":` + report + `}`)
+	s.cache.Put(&rcache.Entry{Key: "key-v2", Unit: "incr-unit:u.c", Report: v2, Paths: []byte(pathdb), Sum: rcache.ContentSum(v2, []byte(pathdb))})
+	if s.GetUnit("key-v2", "u.c", "ufp1") != nil {
+		t.Fatal("version-2 unit record replayed")
 	}
-	if got := s.GetUnit("key-unit", "u.c", "ufp1"); got == nil || string(got.Report) != report || string(got.PathDB) != pathdb {
-		t.Fatalf("v2 unit record did not replay its bytes: %+v", got)
+	if got := s.GetUnit("key-unit", "u.c", "ufp1"); got == nil || string(got.Report) != report {
+		t.Fatalf("v3 unit record did not replay its bytes: %+v", got)
 	}
 }
 
-// unitRecord builds a unit verdict whose path database is a valid JSON
-// document of about n bytes.
+// unitRecord builds a unit verdict whose report is a valid JSON document
+// of about n bytes.
 func unitRecord(unit string, n int) *UnitRecord {
 	return &UnitRecord{
 		Unit:        unit,
 		Fingerprint: "ufp",
-		Report:      json.RawMessage(`{"unit":"` + unit + `"}`),
-		PathDB:      []byte(`{"target":"` + unit + `","pad":"` + strings.Repeat("p", n) + `"}`),
+		Report:      json.RawMessage(`{"unit":"` + unit + `","pad":"` + strings.Repeat("p", n) + `"}`),
 	}
 }
 
 // TestStoreUnitReopenReplays: a unit verdict written to the persistent
-// tier replays the same header and path-database bytes through a second
-// Open of the directory.
+// tier replays the same report bytes through a second Open of the
+// directory.
 func TestStoreUnitReopenReplays(t *testing.T) {
 	dir := t.TempDir()
 	rec := unitRecord("u.c", 4<<10)
@@ -207,14 +208,14 @@ func TestStoreUnitReopenReplays(t *testing.T) {
 	if got == nil {
 		t.Fatal("persisted unit verdict missed after reopen")
 	}
-	if !bytes.Equal(got.Report, rec.Report) || !bytes.Equal(got.PathDB, rec.PathDB) {
-		t.Fatalf("unit verdict bytes drifted across reopen: report %s, %d path bytes", got.Report, len(got.PathDB))
+	if !bytes.Equal(got.Report, rec.Report) {
+		t.Fatalf("unit verdict bytes drifted across reopen: %d report bytes", len(got.Report))
 	}
 }
 
-// TestStoreUnitLargeEntryPrunesDisk: the prune trigger counts the path
-// database, not just the header. Two verdicts each past MaxBytes/4 must
-// each trigger a prune, and the second one finds the directory over budget.
+// TestStoreUnitLargeEntryPrunesDisk: the prune trigger counts the whole
+// unit record. Two verdicts each past MaxBytes/4 must each trigger a
+// prune, and the second one finds the directory over budget.
 func TestStoreUnitLargeEntryPrunesDisk(t *testing.T) {
 	const maxBytes = 64 << 10
 	s := openStore(t, Options{Dir: t.TempDir(), MaxBytes: maxBytes})
@@ -225,8 +226,8 @@ func TestStoreUnitLargeEntryPrunesDisk(t *testing.T) {
 	}
 }
 
-// TestStoreUnitMemoryBounded: the memory tier's byte bound counts the path
-// database, so large unit verdicts evict each other instead of piling up.
+// TestStoreUnitMemoryBounded: the memory tier's byte bound counts the whole
+// unit record, so large unit verdicts evict each other instead of piling up.
 func TestStoreUnitMemoryBounded(t *testing.T) {
 	const maxBytes = 64 << 10
 	s := openStore(t, Options{MaxBytes: maxBytes})

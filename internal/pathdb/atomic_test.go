@@ -46,7 +46,7 @@ func TestSaveAtomicOnMidSaveCrash(t *testing.T) {
 	if string(after) != string(before) {
 		t.Fatal("aborted save modified the existing database")
 	}
-	if db, err := Load(path); err != nil || len(db.Entries) != len(old.Entries) {
+	if db, err := Load(path); err != nil || len(db.Entries()) != len(old.Entries()) {
 		t.Fatalf("existing database unreadable after aborted save: %v", err)
 	}
 }
@@ -93,11 +93,11 @@ func TestSalvageKeepsValidEntries(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.json")
 	db := buildDB(t)
-	if len(db.Entries) == 0 {
+	if len(db.Entries()) == 0 {
 		t.Fatal("buildDB produced no entries")
 	}
 	var victim string
-	for name := range db.Entries {
+	for name := range db.Entries() {
 		victim = name
 		break
 	}
@@ -127,9 +127,9 @@ func TestSalvageKeepsValidEntries(t *testing.T) {
 		t.Fatal("corrupt entry survived salvage")
 	}
 	// The victim's old body survives under the "zzz_ignore" key, so the
-	// count stays at len(db.Entries): victim dropped, zzz_ignore kept.
-	if len(got.Entries) != len(db.Entries) {
-		t.Fatalf("salvage kept %d entries, want %d", len(got.Entries), len(db.Entries))
+	// count stays at len(db.Entries()): victim dropped, zzz_ignore kept.
+	if len(got.Entries()) != len(db.Entries()) {
+		t.Fatalf("salvage kept %d entries, want %d", len(got.Entries()), len(db.Entries()))
 	}
 	found := false
 	for _, d := range got.Diagnostics {

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"pallas/internal/failpoint"
@@ -27,23 +28,109 @@ type Entry struct {
 	Paths     []*paths.ExecPath `json:"paths"`
 }
 
-// DB is a path database.
+// DB is a path database. Its entries are read through Get, FuncPaths,
+// Funcs, NumPaths, Select and Entries; a database made by Lazy produces
+// them on the first of those reads (or the first Put, marshal or Err).
 type DB struct {
 	// Target names the analyzed translation unit.
-	Target string `json:"target"`
+	Target string
 	// BuiltAt records when the extraction ran (RFC3339).
-	BuiltAt string `json:"built_at,omitempty"`
-	// Entries maps function name → extraction result.
-	Entries map[string]*Entry `json:"entries"`
+	BuiltAt string
 	// Diagnostics preserves the degradation record of the run that built the
 	// database, so consumers of a persisted DB know which entries may be
-	// partial.
+	// partial. A lazy database's fill never adds to it: a failed fill is
+	// reported by Err, MarshalJSON and Write.
+	Diagnostics []guard.Diagnostic
+
+	once    sync.Once
+	fill    func() (*DB, error)
+	fillErr error
+	entries map[string]*Entry // function name → extraction result
+}
+
+// dbJSON is DB's wire form; its field order is the persisted key order.
+type dbJSON struct {
+	Target      string             `json:"target"`
+	BuiltAt     string             `json:"built_at,omitempty"`
+	Entries     map[string]*Entry  `json:"entries"`
 	Diagnostics []guard.Diagnostic `json:"diagnostics,omitempty"`
 }
 
 // New returns an empty database for the named target.
 func New(target string) *DB {
-	return &DB{Target: target, Entries: map[string]*Entry{}}
+	return &DB{Target: target, entries: map[string]*Entry{}}
+}
+
+// Lazy returns a database for the named target whose entries fill
+// produces on first read, for results whose paths can be re-derived and
+// are often never read. Only the entries of fill's database are kept.
+// Concurrent first reads run fill once. When fill fails, the database
+// reads as empty, and Err, MarshalJSON and Write return the failure, so
+// it cannot pass for a database with no paths.
+func Lazy(target string, fill func() (*DB, error)) *DB {
+	return &DB{Target: target, fill: fill}
+}
+
+// load returns the entry map and a lazy database's fill failure, running
+// the fill first. Every read of the entries goes through it.
+func (db *DB) load() (map[string]*Entry, error) {
+	db.once.Do(func() {
+		if db.fill != nil {
+			if src, err := db.fill(); err != nil {
+				db.fillErr = fmt.Errorf("pathdb: deriving paths of %s: %w", db.Target, err)
+			} else {
+				db.entries = src.Entries()
+			}
+			db.fill = nil
+		}
+		if db.entries == nil {
+			db.entries = map[string]*Entry{}
+		}
+	})
+	return db.entries, db.fillErr
+}
+
+// entryMap is load for reads that see a failed fill as an empty database.
+func (db *DB) entryMap() map[string]*Entry {
+	entries, _ := db.load()
+	return entries
+}
+
+// Err fills a lazy database and returns its fill failure, or nil.
+func (db *DB) Err() error {
+	_, err := db.load()
+	return err
+}
+
+// wire returns the database's wire form, filling a lazy one first.
+func (db *DB) wire() (dbJSON, error) {
+	entries, err := db.load()
+	return dbJSON{Target: db.Target, BuiltAt: db.BuiltAt, Entries: entries, Diagnostics: db.Diagnostics}, err
+}
+
+// MarshalJSON encodes the database, filling a lazy one first. Calling it
+// directly yields the bytes json.Marshal does, without the pass in which
+// encoding/json re-validates a Marshaler's output.
+func (db *DB) MarshalJSON() ([]byte, error) {
+	j, err := db.wire()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(j)
+}
+
+// UnmarshalJSON decodes a database; a missing or null entries object
+// reads as empty.
+func (db *DB) UnmarshalJSON(b []byte) error {
+	var j dbJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	if j.Entries == nil {
+		j.Entries = map[string]*Entry{}
+	}
+	db.Target, db.BuiltAt, db.entries, db.Diagnostics = j.Target, j.BuiltAt, j.Entries, j.Diagnostics
+	return nil
 }
 
 // Build extracts paths for the named functions (or, when names is empty, for
@@ -57,7 +144,7 @@ func Build(ex *paths.Extractor, target string, names ...string) (*DB, error) {
 			return nil, err
 		}
 		for _, fp := range all {
-			db.put(fp)
+			db.Put(fp)
 		}
 		return db, nil
 	}
@@ -66,29 +153,31 @@ func Build(ex *paths.Extractor, target string, names ...string) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		db.put(fp)
+		db.Put(fp)
 	}
 	return db, nil
 }
 
-func (db *DB) put(fp *paths.FuncPaths) {
-	db.Entries[fp.Fn] = &Entry{
+// Put stores an extraction result, replacing any previous entry.
+func (db *DB) Put(fp *paths.FuncPaths) {
+	db.entryMap()[fp.Fn] = &Entry{
 		Func: fp.Fn, Signature: fp.Signature, Truncated: fp.Truncated, Paths: fp.Paths,
 	}
 }
 
-// Put stores an extraction result, replacing any previous entry.
-func (db *DB) Put(fp *paths.FuncPaths) { db.put(fp) }
-
 // AddDiagnostic appends a degradation record to the database.
 func (db *DB) AddDiagnostic(d guard.Diagnostic) { db.Diagnostics = append(db.Diagnostics, d) }
 
+// Entries returns the function name → extraction result map. Callers must
+// not modify it.
+func (db *DB) Entries() map[string]*Entry { return db.entryMap() }
+
 // Get returns the entry for a function, or nil.
-func (db *DB) Get(fn string) *Entry { return db.Entries[fn] }
+func (db *DB) Get(fn string) *Entry { return db.entryMap()[fn] }
 
 // FuncPaths reconstructs a paths.FuncPaths view of an entry, or nil.
 func (db *DB) FuncPaths(fn string) *paths.FuncPaths {
-	e := db.Entries[fn]
+	e := db.Get(fn)
 	if e == nil {
 		return nil
 	}
@@ -97,8 +186,9 @@ func (db *DB) FuncPaths(fn string) *paths.FuncPaths {
 
 // Funcs lists the stored function names, sorted.
 func (db *DB) Funcs() []string {
-	out := make([]string, 0, len(db.Entries))
-	for k := range db.Entries {
+	entries := db.entryMap()
+	out := make([]string, 0, len(entries))
+	for k := range entries {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -108,7 +198,7 @@ func (db *DB) Funcs() []string {
 // NumPaths counts all stored paths.
 func (db *DB) NumPaths() int {
 	n := 0
-	for _, e := range db.Entries {
+	for _, e := range db.entryMap() {
 		n += len(e.Paths)
 	}
 	return n
@@ -116,21 +206,22 @@ func (db *DB) NumPaths() int {
 
 // Write serializes the database as JSON.
 func (db *DB) Write(w io.Writer) error {
+	j, err := db.wire()
+	if err != nil {
+		return err
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(db)
+	return enc.Encode(j)
 }
 
 // Read deserializes a database.
 func Read(r io.Reader) (*DB, error) {
-	var db DB
-	if err := json.NewDecoder(r).Decode(&db); err != nil {
+	db := &DB{}
+	if err := json.NewDecoder(r).Decode(db); err != nil {
 		return nil, fmt.Errorf("pathdb: %w", err)
 	}
-	if db.Entries == nil {
-		db.Entries = map[string]*Entry{}
-	}
-	return &db, nil
+	return db, nil
 }
 
 // Save writes the database to a file atomically: the JSON is written to a
@@ -211,7 +302,7 @@ func Salvage(path string) (*DB, error) {
 				fmt.Errorf("dropped corrupt entry: %v", err), true))
 			continue
 		}
-		db.Entries[name] = &e
+		db.entries[name] = &e
 	}
 	if len(raw.Diagnostics) > 0 {
 		var diags []guard.Diagnostic

@@ -39,7 +39,7 @@ func (db *DB) Select(q Query) []Hit {
 		if q.Func != "" && q.Func != fn {
 			continue
 		}
-		for _, p := range db.Entries[fn].Paths {
+		for _, p := range db.Get(fn).Paths {
 			if matches(p, q) {
 				out = append(out, Hit{Func: fn, Path: p})
 			}
@@ -94,7 +94,7 @@ type Stats struct {
 // ComputeStats tallies the database.
 func (db *DB) ComputeStats() Stats {
 	st := Stats{PerFunc: map[string]int{}}
-	for fn, e := range db.Entries {
+	for fn, e := range db.entryMap() {
 		st.Funcs++
 		st.PerFunc[fn] = len(e.Paths)
 		st.Paths += len(e.Paths)

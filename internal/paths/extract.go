@@ -23,7 +23,9 @@ type Config struct {
 	// MaxBlockVisits bounds how often one block may appear on a single path;
 	// 2 lets every loop contribute its 0- and 1-iteration behaviours.
 	MaxBlockVisits int
-	// InlineDepth bounds transitive callee summarization.
+	// InlineDepth switches callee summarization: > 0 applies summaries at
+	// call sites, <= 0 turns them off. Summaries are one level deep, so
+	// only the sign matters to the walk.
 	InlineDepth int
 	// Budget, when non-nil, is charged one step per visited block; once it is
 	// exhausted enumeration stops and the affected functions are marked

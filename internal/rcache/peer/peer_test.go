@@ -457,9 +457,10 @@ func (c *captureTier) Register(string, *rcache.Cache)           {}
 func (c *captureTier) Get(string, string) (*rcache.Entry, bool) { return nil, false }
 func (c *captureTier) Put(_ string, e *rcache.Entry) error      { c.last = e; return nil }
 
-// TestVerifyEntryIncrUnitRecord: a memo unit verdict — header in Report,
-// path database in Paths — crosses the wire intact under the end-to-end
-// checksum, and a sum that covers only the header is refused as rot.
+// TestVerifyEntryIncrUnitRecord: a memo unit verdict — one JSON record in
+// Report, no path database — crosses the wire intact under the end-to-end
+// checksum, and a record whose bytes no longer match its sum is refused as
+// rot.
 func TestVerifyEntryIncrUnitRecord(t *testing.T) {
 	ct := &captureTier{}
 	st, err := incr.Open(incr.Options{Registry: metrics.NewRegistry(), Shared: ct})
@@ -467,8 +468,7 @@ func TestVerifyEntryIncrUnitRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := key64("ab")
-	pathdb := []byte(`{"target":"u.c","entries":{"f":{"Fn":"f"}}}`)
-	st.PutUnit(key, &incr.UnitRecord{Unit: "u.c", Fingerprint: "ufp", Report: json.RawMessage(`{"unit":"u.c"}`), PathDB: pathdb})
+	st.PutUnit(key, &incr.UnitRecord{Unit: "u.c", Fingerprint: "ufp", Report: json.RawMessage(`{"unit":"u.c"}`)})
 	if ct.last == nil {
 		t.Fatal("unit verdict never reached the shared tier")
 	}
@@ -478,15 +478,15 @@ func TestVerifyEntryIncrUnitRecord(t *testing.T) {
 	if !ok || got == nil {
 		t.Fatalf("unit verdict refused by the wire check: ok=%v entry=%v", ok, got)
 	}
-	if string(got.Paths) != string(pathdb) {
-		t.Fatalf("path database drifted over the wire: %s", got.Paths)
+	if string(got.Report) != string(ct.last.Report) || len(got.Paths) != 0 {
+		t.Fatalf("unit verdict drifted over the wire: report %s, paths %q", got.Report, got.Paths)
 	}
 
 	mut := *ct.last
-	mut.Sum = rcache.ContentSum(mut.Report, nil)
+	mut.Report = json.RawMessage(strings.Replace(string(mut.Report), `"u.c"`, `"v.c"`, 1))
 	raw, _ = json.Marshal(&mut)
 	if got, ok := verifyEntry(key, raw); ok || got != nil {
-		t.Fatal("entry whose sum skips the path database was accepted")
+		t.Fatal("unit verdict whose bytes no longer match its sum was accepted")
 	}
 }
 

@@ -62,10 +62,9 @@ type Entry struct {
 	// Paths is the marshaled path database of the producing analysis,
 	// kept out of Report so it is never re-encoded inside another JSON
 	// document. Populated by cluster workers (whose completions must replay
-	// pathdb bytes as well as report bytes) and by the incremental memo's
-	// whole-unit verdicts (internal/incr, where Report is the record
-	// header); empty for entries stored by plain serve/batch runs, which
-	// only replay reports, and for memo function records.
+	// pathdb bytes as well as report bytes); empty for entries stored by
+	// plain serve/batch runs, which only replay reports, and for every
+	// incremental memo record (internal/incr).
 	Paths json.RawMessage `json:"paths,omitempty"`
 	// Diagnostics preserves the degradation record of the producing run.
 	Diagnostics []guard.Diagnostic `json:"diagnostics,omitempty"`
@@ -301,6 +300,13 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 	return e, true
 }
 
+// Peek is Get without the lookup counters, for reads that re-derive
+// content an already-counted lookup served.
+func (c *Cache) Peek(key string) (*Entry, bool) {
+	e, _ := c.lookup(key)
+	return e, e != nil
+}
+
 // lookup is Get without the lookup counters: it returns the entry and the
 // tier counter (MemHits or DiskHits) its hit belongs to, or nil.
 func (c *Cache) lookup(key string) (*Entry, *metrics.Counter) {
@@ -446,8 +452,9 @@ func (c *Cache) diskPath(key string) string {
 }
 
 // loadDisk reads and validates a persistent entry; any damage (unreadable,
-// bad JSON, key mismatch — e.g. a file renamed by hand) returns nil and
-// removes the file so it is not re-parsed on every miss. While the tier's
+// bad JSON, key mismatch — e.g. a file renamed by hand — or Report and
+// Paths bytes that no longer match a set Sum) returns nil and removes the
+// file so it is not re-parsed on every miss. While the tier's
 // breaker is open the read is skipped entirely (memory-only mode). A
 // validated entry is the only thing ever returned, so a faulting or
 // corrupted disk can cause misses but never a corrupt result.
@@ -473,9 +480,11 @@ func (c *Cache) loadDisk(key string) *Entry {
 		return nil
 	}
 	var e Entry
-	if json.Unmarshal(b, &e) != nil || e.Key != key || len(e.Report) == 0 {
+	if json.Unmarshal(b, &e) != nil || e.Key != key || len(e.Report) == 0 ||
+		(e.Sum != "" && e.Sum != ContentSum(e.Report, e.Paths)) {
 		// Corrupt or mismatched data: the disk itself worked, the bytes are
 		// damaged — delete them so they are not re-parsed on every miss.
+		// Entries stored without a Sum can only be checked for shape.
 		os.Remove(c.diskPath(key))
 		c.diskOK()
 		return nil

@@ -167,6 +167,47 @@ func TestDiskCorruptionIgnoredAndRemoved(t *testing.T) {
 	}
 }
 
+// TestDiskChecksumMismatchIsMiss: a persisted entry whose bytes rotted
+// inside a JSON string still parses, so only its Sum can catch it. On
+// reopen it must read as a miss and its file must be deleted.
+func TestDiskChecksumMismatchIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key64("cf")
+	e := entry(k, "a.c", `{"target":"a.c","warnings":[]}`)
+	e.Sum = ContentSum(e.Report, e.Paths)
+	if err := c.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, k[:2], k+".json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(string(b), `"a.c","warnings"`)
+	if i < 0 {
+		t.Fatalf("persisted report not found in %s", b)
+	}
+	b[i+1] = 'b' // "a.c" → "b.c": still valid JSON, wrong bytes
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := fresh.Get(k); ok {
+		t.Fatalf("entry whose report no longer matches its sum served as a hit: %s", got.Report)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("entry with a checksum mismatch not removed")
+	}
+}
+
 func TestGetOrComputeSingleflight(t *testing.T) {
 	c, err := Open(Options{})
 	if err != nil {

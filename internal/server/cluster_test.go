@@ -119,6 +119,59 @@ func TestClusterUnitUpgradesPathlessCacheEntry(t *testing.T) {
 	}
 }
 
+// TestClusterUnitFailedPathFillIsNotCached: a memo-replayed verdict derives
+// its path database when a cluster dispatch first reads it, inside the
+// gate. When that derivation fails, the dispatch fails and the cache keeps
+// no empty database as a clean result; the next dispatch derives it.
+func TestClusterUnitFailedPathFillIsNotCached(t *testing.T) {
+	// MaxPaths 1 truncates fast_path, and truncated functions have no memo
+	// record, so the replayed verdict's fill must extract it again.
+	s := newTestServer(t, Config{Workers: 1, Analyzer: pallas.Config{
+		MaxPaths: 1, Incremental: &pallas.IncrementalOptions{}}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Plain analyze: memoizes the verdict, caches a path-less entry.
+	body, _ := json.Marshal(AnalyzeRequest{Name: "a.c", Source: testSource, Spec: testSpec})
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	unit := pallas.Unit{Name: "a.c", Source: testSource, Spec: testSpec}
+	dispatch := func() cluster.ResultPayload {
+		t.Helper()
+		resp := postUnit(t, ts.URL, cluster.AssignPayload{
+			Unit: unit.Name, Hash: unit.Hash(), Source: unit.Source, Spec: unit.Spec, Attempt: 1,
+		})
+		defer resp.Body.Close()
+		var res cluster.ResultPayload
+		if err := cluster.DecodeFrame(resp.Body, cluster.FrameResult, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if err := failpoint.Arm("extract-func=error/fast_path"); err != nil {
+		t.Fatal(err)
+	}
+	res := dispatch()
+	failpoint.Disarm()
+	if res.Status != "failed" || !strings.Contains(res.Err, "injected") {
+		t.Fatalf("dispatch with a failing path fill: %+v", res)
+	}
+	if st, _ := s.analyzer.IncrStats(); st.UnitHits != 1 {
+		t.Fatalf("memo stats %+v: the dispatch did not replay the verdict", st)
+	}
+	if e, ok := s.cache.Peek(s.analyzer.CacheKey(unit)); !ok || len(e.Paths) != 0 {
+		t.Fatal("a failed path fill replaced the cached entry")
+	}
+	if res := dispatch(); res.Status != "ok" || len(res.Paths) == 0 {
+		t.Fatalf("dispatch after the fault: status=%s paths=%d bytes", res.Status, len(res.Paths))
+	}
+}
+
 func TestClusterUnitRejectsMalformedFrames(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())

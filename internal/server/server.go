@@ -649,9 +649,19 @@ func (s *Server) computeUnit(ctx context.Context, unit pallas.Unit, key string, 
 
 func (s *Server) analyzeUnit(ctx context.Context, unit pallas.Unit, key string, withPaths bool) (*rcache.Entry, error) {
 	var res *pallas.Result
+	var pb []byte
 	err := s.gate.DoContext(ctx, guard.StageServe, unit.Name, func() error {
 		var aerr error
 		res, aerr = s.analyzer.AnalyzeSource(unit.Name, unit.Source, unit.Spec)
+		if aerr == nil && withPaths {
+			// Inside the gate: a replayed verdict derives its paths on
+			// this first read, and that extraction is analysis work. A
+			// failed derivation fails the unit rather than shipping an
+			// empty database as a clean result. MarshalJSON gives the
+			// bytes json.Marshal does, minus its re-validation pass over
+			// a Marshaler's output (megabytes for a deep unit).
+			pb, aerr = res.Paths.MarshalJSON()
+		}
 		return aerr
 	})
 	if err != nil {
@@ -672,13 +682,7 @@ func (s *Server) analyzeUnit(ctx context.Context, unit pallas.Unit, key string, 
 		Diagnostics: res.Diagnostics,
 		Degraded:    res.Report.Degraded,
 		Warnings:    len(res.Report.Warnings),
-	}
-	if withPaths {
-		pb, err := json.Marshal(res.Paths)
-		if err != nil {
-			return nil, err
-		}
-		entry.Paths = pb
+		Paths:       pb,
 	}
 	// The content checksum is fixed here, where the bytes are born: every
 	// downstream hop — cache tiers, result frames, the coordinator's merge —

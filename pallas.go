@@ -107,7 +107,10 @@ type Config struct {
 	MaxPaths int
 	// MaxBlockVisits bounds loop traversals per path (default 2).
 	MaxBlockVisits int
-	// InlineDepth bounds callee summarization (default 2).
+	// InlineDepth switches callee summarization: 0 selects the default 2,
+	// any positive value turns summaries on and a negative one turns them
+	// off. Summaries are one level deep whatever the value; the number
+	// itself only feeds cache and memo fingerprints.
 	InlineDepth int
 	// Checkers selects a subset of the five checkers by name ("path-state",
 	// "trigger-condition", "path-output", "fault-handling", "data-struct");
@@ -298,11 +301,7 @@ func (a *Analyzer) AnalyzeSource(name, src, specText string) (*Result, error) {
 	if err := failpoint.Hit(failpoint.PreParse, name); err != nil {
 		return nil, err
 	}
-	budget := guard.NewBudget(nil, guard.Limits{
-		Deadline:           a.cfg.Deadline,
-		MaxSteps:           a.cfg.MaxSteps,
-		MaxMacroExpansions: a.cfg.MaxMacroExpansions,
-	})
+	budget := a.newBudget()
 	var diags []Diagnostic
 	// tolerate decides a stage error's fate: budget violations always
 	// degrade; input errors degrade under KeepGoing, or when an earlier
@@ -395,7 +394,7 @@ func (a *Analyzer) analyze(tu *cast.TranslationUnit, sp *spec.Spec, merged strin
 	if st := a.incrStore(); st != nil {
 		memo = a.newMemoRun(st, tu)
 		if len(diags) == 0 && budget.Err() == nil {
-			if res := memo.replayUnit(tu, sp, merged); res != nil {
+			if res := memo.replayUnit(tu, sp, merged, a.derivePaths(memo, tu, sp, tier)); res != nil {
 				// Replayed verdicts carry the pruned tally of the clean run
 				// they memoized; keep the analyzer-level counters moving.
 				a.mFeasPruned.Add(int64(res.Report.PathsPruned))
@@ -403,17 +402,7 @@ func (a *Analyzer) analyze(tu *cast.TranslationUnit, sp *spec.Spec, merged strin
 			}
 		}
 	}
-	pcfg := paths.Config{
-		MaxPaths:       a.cfg.MaxPaths,
-		MaxBlockVisits: a.cfg.MaxBlockVisits,
-		InlineDepth:    a.cfg.InlineDepth,
-		Budget:         budget,
-		Workers:        a.cfg.AnalysisWorkers,
-		Precision:      tier,
-	}
-	if pcfg.InlineDepth < 0 {
-		pcfg.InlineDepth = 0
-	}
+	pcfg := a.pathsConfig(budget, tier)
 	if memo != nil {
 		pcfg.Seed = memo.seed(sp)
 	}
@@ -443,25 +432,45 @@ func (a *Analyzer) analyze(tu *cast.TranslationUnit, sp *spec.Spec, merged strin
 		rep.Degraded = true
 	}
 
-	db := pathdb.New(tu.File)
-	// Insert in sorted function order, not map order: pathdb consumers see
-	// insertion order through DB.Put, and a saved database must be stable
-	// run-to-run and across worker counts.
-	fnNames := make([]string, 0, len(ctx.FuncPaths))
-	for fn := range ctx.FuncPaths {
-		fnNames = append(fnNames, fn)
+	if memo != nil && len(diags) == 0 && !rep.Degraded {
+		memo.store(ctx.FuncPaths, rep)
 	}
-	sort.Strings(fnNames)
-	for _, fn := range fnNames {
-		db.Put(ctx.FuncPaths[fn])
+	return &Result{Report: rep, Spec: sp, Paths: buildPathDB(ctx, diags), Merged: merged, Diagnostics: diags, tu: tu}, nil
+}
+
+// newBudget returns a fresh budget with the configured limits.
+func (a *Analyzer) newBudget() *guard.Budget {
+	return guard.NewBudget(nil, guard.Limits{
+		Deadline:           a.cfg.Deadline,
+		MaxSteps:           a.cfg.MaxSteps,
+		MaxMacroExpansions: a.cfg.MaxMacroExpansions,
+	})
+}
+
+// pathsConfig is the extraction configuration of every analysis run by a.
+func (a *Analyzer) pathsConfig(budget *guard.Budget, tier feas.Tier) paths.Config {
+	return paths.Config{
+		MaxPaths:       a.cfg.MaxPaths,
+		MaxBlockVisits: a.cfg.MaxBlockVisits,
+		InlineDepth:    a.cfg.InlineDepth,
+		Budget:         budget,
+		Workers:        a.cfg.AnalysisWorkers,
+		Precision:      tier,
+	}
+}
+
+// buildPathDB collects a context's extraction results and the run's
+// diagnostics into the result's path database. Insertion order does not
+// matter: entries are keyed by function name and encoded in key order.
+func buildPathDB(ctx *checkers.Context, diags []Diagnostic) *pathdb.DB {
+	db := pathdb.New(ctx.File)
+	for _, fp := range ctx.FuncPaths {
+		db.Put(fp)
 	}
 	for _, d := range diags {
 		db.AddDiagnostic(d)
 	}
-	if memo != nil && len(diags) == 0 && !rep.Degraded {
-		memo.store(ctx.FuncPaths, rep, db)
-	}
-	return &Result{Report: rep, Spec: sp, Paths: db, Merged: merged, Diagnostics: diags, tu: tu}, nil
+	return db
 }
 
 // ComparePaths runs the study's code-comparison tool on a fast/slow function
