@@ -12,6 +12,7 @@ import (
 	"pallas/internal/backoff"
 	"pallas/internal/failpoint"
 	"pallas/internal/guard"
+	"pallas/internal/incr"
 	"pallas/internal/journal"
 	"pallas/internal/overload"
 	"pallas/internal/rcache"
@@ -121,10 +122,11 @@ type BatchOptions struct {
 	// source, spec, analyzer configuration — Analyzer.CacheKey) has a stored
 	// entry replays the cached report byte-identically instead of being
 	// analyzed. The same directory serves `pallas serve`, so a batch run
-	// warms the server and vice versa.
+	// warms the server and vice versa. With Config.Incremental set, the
+	// memo keeps its records in this cache too.
 	CacheDir string
-	// CacheBytes bounds the cache's memory tier (<= 0: rcache default).
-	// Only meaningful with CacheDir.
+	// CacheBytes bounds the cache, its memory tier and its directory alike
+	// (<= 0: rcache default). Only meaningful with CacheDir.
 	CacheBytes int64
 	// Sleep replaces time.Sleep between retry attempts; tests inject a
 	// recorder here. Nil means time.Sleep.
@@ -147,11 +149,12 @@ type BatchStats struct {
 	Quarantined int
 	// Failed counts units with a terminal deterministic failure.
 	Failed int
-	// CacheHits counts units replayed from the result cache; CacheMisses
-	// counts units that had to be analyzed because no entry existed.
-	// Both stay zero when no cache is configured.
-	CacheHits   int
-	CacheMisses int
+	// Cache snapshots the run's result cache (BatchOptions.CacheDir) at the
+	// end of the run: Hits counts units replayed from it, Misses units that
+	// had to be analyzed because no entry existed. Memo records the run
+	// kept in the cache count in Entries and Bytes, not in Hits or Misses.
+	// Zero when no cache is configured.
+	Cache rcache.Stats
 	// IncrFuncHits / IncrFuncMisses / IncrUnitHits / IncrUnitMisses are the
 	// function-level memo's activity during this batch (the delta of
 	// Analyzer.IncrStats across the run). All zero when Config.Incremental
@@ -230,10 +233,15 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 			return nil, stats, err
 		}
 	}
+	// The memo keeps its records in the batch's cache when there is one.
 	// An unopenable memo store is an infrastructure failure like an
 	// unopenable journal — surface it here instead of silently running the
 	// whole batch cold.
-	if err := a.EnsureIncremental(); err != nil {
+	var memoBacking incr.Backing
+	if cache != nil {
+		memoBacking = incr.Local(cache)
+	}
+	if _, err := a.incrOpen(memoBacking); err != nil {
 		return nil, stats, err
 	}
 	incrBefore, _ := a.IncrStats()
@@ -361,8 +369,7 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 		}
 	})
 	if cache != nil {
-		cs := cache.Stats() // this run's own cache: its lookups are the run's
-		stats.CacheHits, stats.CacheMisses = int(cs.Hits), int(cs.Misses)
+		stats.Cache = cache.Stats() // this run's own cache: its lookups are the run's
 	}
 	if incrAfter, ok := a.IncrStats(); ok {
 		stats.IncrFuncHits = incrAfter.FuncHits - incrBefore.FuncHits

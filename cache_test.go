@@ -55,7 +55,7 @@ func TestAnalyzeBatchResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coldStats.CacheMisses != 4 || coldStats.CacheHits != 0 || coldStats.Analyzed != 4 {
+	if coldStats.Cache.Misses != 4 || coldStats.Cache.Hits != 0 || coldStats.Analyzed != 4 {
 		t.Fatalf("cold stats = %+v", coldStats)
 	}
 	for _, r := range cold {
@@ -72,7 +72,7 @@ func TestAnalyzeBatchResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warmStats.CacheHits != 4 || warmStats.CacheMisses != 0 || warmStats.Analyzed != 0 {
+	if warmStats.Cache.Hits != 4 || warmStats.Cache.Misses != 0 || warmStats.Analyzed != 0 {
 		t.Fatalf("warm stats = %+v", warmStats)
 	}
 	for _, r := range warm {
@@ -90,7 +90,7 @@ func TestAnalyzeBatchResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if otherStats.CacheHits != 0 || otherStats.Analyzed != 4 {
+	if otherStats.Cache.Hits != 0 || otherStats.Analyzed != 4 {
 		t.Fatalf("config change did not miss the cache: %+v", otherStats)
 	}
 	for _, r := range other {
@@ -106,7 +106,7 @@ func TestAnalyzeBatchResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if editStats.CacheHits != 3 || editStats.CacheMisses != 1 || editStats.Analyzed != 1 {
+	if editStats.Cache.Hits != 3 || editStats.Cache.Misses != 1 || editStats.Analyzed != 1 {
 		t.Fatalf("edit stats = %+v, want 3 hits / 1 miss", editStats)
 	}
 }
@@ -127,7 +127,7 @@ func TestAnalyzeBatchCacheWithJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warmStats.CacheHits != 2 {
+	if warmStats.Cache.Hits != 2 {
 		t.Fatalf("warm stats = %+v", warmStats)
 	}
 

@@ -78,3 +78,61 @@ pallas: peer cache: 9 put(s) (5457 bytes replicated); handoff 0 queued, 0 draine
 		})
 	}
 }
+
+// checkCacheStats runs the three feasibility cases through one batch per
+// element of edits, each on a fresh analyzer as a separate check run would
+// be, and returns the last run's -cache-stats dump. edits[i] is appended to
+// the first case's source in run i.
+func checkCacheStats(t *testing.T, cfg pallas.Config, opts pallas.BatchOptions, edits ...string) string {
+	t.Helper()
+	var b bytes.Buffer
+	for _, edit := range edits {
+		var units []pallas.Unit
+		for i, c := range corpus.FeasCases() {
+			if i == 0 {
+				c.Source += edit
+			}
+			units = append(units, pallas.Unit{Name: c.ID + ".c", Source: c.Source, Spec: c.Spec})
+		}
+		a := pallas.New(cfg)
+		_, stats, err := a.AnalyzeBatch(units, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Reset()
+		printUnitStats(&b, checkSnapshot(a, stats, cfg.Precision), true)
+	}
+	return b.String()
+}
+
+// TestCheckCacheStatsText pins the check -cache-stats dump, rendered from
+// the snapshot checkSnapshot builds, with the unit-cache line serve prints.
+// The second case re-checks over a warm cache directory with a trailing
+// comment added to one unit: the result cache answers the other two from
+// disk, and the memo replays the edited unit's verdict.
+func TestCheckCacheStatsText(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		cfg   pallas.Config
+		opts  pallas.BatchOptions
+		edits []string
+		want  string
+	}{
+		{"fast, memo off", pallas.Config{}, pallas.BatchOptions{}, []string{""}, `pallas: unit cache: 0 hit(s) (0 mem, 0 disk), 0 miss(es), 3 compute(s), 0 disk-full prune(s)
+pallas: func memo: off (enable with -incr-dir)
+pallas: feas: off (fast tier; enable with -precision balanced|strict)
+`},
+		{"strict, memo on, warm cache dir", pallas.Config{Precision: "strict", Incremental: &pallas.IncrementalOptions{}},
+			pallas.BatchOptions{CacheDir: dir}, []string{"", "/* edited */\n"}, `pallas: unit cache: 2 hit(s) (0 mem, 2 disk), 1 miss(es), 1 compute(s), 0 disk-full prune(s)
+pallas: func memo: 0 hit(s), 0 miss(es), 0 invalidation(s); unit verdicts: 1 hit(s), 0 miss(es); reuse 100%
+pallas: feas (strict): 1 path(s) pruned, 0 contradiction(s)
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := checkCacheStats(t, tc.cfg, tc.opts, tc.edits...); got != tc.want {
+				t.Errorf("-cache-stats:\n--- got\n%s--- want\n%s", got, tc.want)
+			}
+		})
+	}
+}

@@ -58,14 +58,17 @@ func newEngineFlags() *engineFlags {
 	e.fs.DurationVar(&e.cfg.Deadline, "timeout", 0, "analysis deadline per file, or per request covering admission wait and analysis; expiry degrades, not fails (0 = none)")
 	e.fs.BoolVar(&e.cfg.KeepGoing, "keep-going", false, "keep analyzing past malformed input, reporting per-file diagnostics")
 	e.fs.IntVar(&e.cfg.AnalysisWorkers, "analysis-workers", 0, "goroutines per file for per-function extraction and checkers (<=1 = serial; output is identical at any setting)")
-	e.fs.StringVar(&e.incrDir, "incr-dir", "", "function-level incremental memo directory: unchanged functions replay memoized paths, only edited functions and their transitive callers are re-analyzed (output stays byte-identical)")
-	e.fs.Int64Var(&e.incrBytes, "incr-bytes", 0, "incremental memo budget in bytes, memory and disk (0 = default 64MiB; needs -incr-dir or enables a memory-only memo)")
+	e.fs.StringVar(&e.incrDir, "incr-dir", "", "turn on the function-level incremental memo and set -cache-dir: unchanged functions replay memoized paths from the result cache, only edited functions and their transitive callers are re-analyzed (output stays byte-identical)")
+	e.fs.Int64Var(&e.incrBytes, "incr-bytes", 0, "turn on the function-level incremental memo and set -cache-bytes")
 	return e
 }
 
 // config validates the parsed engine flags and returns the analyzer
-// configuration they select.
-func (e *engineFlags) config() (pallas.Config, error) {
+// configuration they select. The memo keeps its records in the result
+// cache, so -incr-dir and -incr-bytes are aliases: each turns the memo on
+// and sets the cache flag it stands for, *dir or *bytes. An alias given a
+// value other than its cache flag's is a usage error.
+func (e *engineFlags) config(dir *string, bytes *int64) (pallas.Config, error) {
 	cfg := e.cfg
 	if _, err := feas.ParseTier(cfg.Precision); err != nil {
 		return cfg, err
@@ -73,8 +76,20 @@ func (e *engineFlags) config() (pallas.Config, error) {
 	if e.checker != "" {
 		cfg.Checkers = []string{e.checker}
 	}
+	if e.incrDir != "" {
+		if *dir != "" && *dir != e.incrDir {
+			return cfg, fmt.Errorf("-incr-dir %q differs from -cache-dir %q (it is an alias)", e.incrDir, *dir)
+		}
+		*dir = e.incrDir
+	}
+	if e.incrBytes > 0 {
+		if *bytes > 0 && *bytes != e.incrBytes {
+			return cfg, fmt.Errorf("-incr-bytes %d differs from -cache-bytes %d (it is an alias)", e.incrBytes, *bytes)
+		}
+		*bytes = e.incrBytes
+	}
 	if e.incrDir != "" || e.incrBytes > 0 {
-		cfg.Incremental = &pallas.IncrementalOptions{Dir: e.incrDir, MaxBytes: e.incrBytes}
+		cfg.Incremental = &pallas.IncrementalOptions{MaxBytes: *bytes}
 	}
 	return cfg, nil
 }
@@ -101,8 +116,8 @@ func newServerFlags() *serverFlags {
 	fs.Float64Var(&s.cfg.GlobalBurst, "global-burst", 0, "server-wide burst size (0 = the rate)")
 	fs.IntVar(&s.cfg.BreakerThreshold, "breaker-threshold", 0, "consecutive cache disk faults before tripping to memory-only mode (0 = 5, negative disables)")
 	fs.DurationVar(&s.cfg.BreakerCooldown, "breaker-cooldown", 0, "how long a tripped cache tier stays memory-only before probing recovery (0 = 5s)")
-	fs.StringVar(&s.cfg.CacheDir, "cache-dir", "", "persistent result-cache directory, shared by check, serve and cluster workers; unchanged files replay from it")
-	fs.Int64Var(&s.cfg.CacheBytes, "cache-bytes", 0, "memory result-cache budget in bytes, per process (0 = default)")
+	fs.StringVar(&s.cfg.CacheDir, "cache-dir", "", "persistent result-cache directory, shared by check, serve and cluster workers; unchanged files replay from it, and the memo (-incr-dir) keeps its records in it")
+	fs.Int64Var(&s.cfg.CacheBytes, "cache-bytes", 0, "result-cache budget in bytes, per process: bounds the memory tier and the -cache-dir directory, memo records included (0 = default 64MiB)")
 	fs.IntVar(&s.cfg.CacheReplicas, "cache-replicas", 0, "shared-cache-tier replication factor (0 = 2)")
 	fs.BoolVar(&s.cacheStats, "cache-stats", false, "print unit-cache, function-memo, feasibility and (serve, worker) peer-tier summaries to stderr at exit; cluster passes it to its workers")
 	fs.DurationVar(&s.drainTimeout, "drain-timeout", 30*time.Second, "maximum time to wait for in-flight requests on shutdown")
@@ -137,11 +152,11 @@ func newServeFlags(cmd string) *serveFlags {
 
 // config validates the parsed flags and returns the server configuration.
 func (f *serveFlags) config() (server.Config, error) {
-	acfg, err := f.engine.config()
+	cfg := f.server.cfg
+	acfg, err := f.engine.config(&cfg.CacheDir, &cfg.CacheBytes)
 	if err != nil {
 		return server.Config{}, err
 	}
-	cfg := f.server.cfg
 	acfg.IncludeDirs = cfg.Analyzer.IncludeDirs
 	cfg.Analyzer = acfg
 	return cfg, nil

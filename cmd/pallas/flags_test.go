@@ -83,6 +83,48 @@ func TestClusterWorkerArgsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIncrFlagsAliasCacheFlags: the memo keeps its records in the result
+// cache, so -incr-dir and -incr-bytes each turn the memo on and set
+// -cache-dir or -cache-bytes; an alias and its cache flag given different
+// values is a usage error.
+func TestIncrFlagsAliasCacheFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		dir     string
+		bytes   int64
+		memo    bool
+		wantErr string
+	}{
+		{args: nil},
+		{args: []string{"-cache-dir", "d", "-cache-bytes", "5"}, dir: "d", bytes: 5},
+		{args: []string{"-incr-dir", "d"}, dir: "d", memo: true},
+		{args: []string{"-incr-bytes", "5"}, bytes: 5, memo: true},
+		{args: []string{"-incr-dir", "d", "-cache-dir", "d", "-incr-bytes", "5", "-cache-bytes", "5"}, dir: "d", bytes: 5, memo: true},
+		{args: []string{"-incr-dir", "d", "-cache-dir", "e"}, wantErr: "-incr-dir"},
+		{args: []string{"-incr-bytes", "5", "-cache-bytes", "6"}, wantErr: "-incr-bytes"},
+	} {
+		f := newServeFlags("serve")
+		f.fs.Init("serve", flag.ContinueOnError)
+		if err := f.fs.Parse(tc.args); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		cfg, err := f.config()
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%q: err = %v, want a usage error naming %s", tc.args, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if cfg.CacheDir != tc.dir || cfg.CacheBytes != tc.bytes || (cfg.Analyzer.Incremental != nil) != tc.memo {
+			t.Errorf("%q: cache-dir %q, cache-bytes %d, memo %v; want %q, %d, %v",
+				tc.args, cfg.CacheDir, cfg.CacheBytes, cfg.Analyzer.Incremental != nil, tc.dir, tc.bytes, tc.memo)
+		}
+	}
+}
+
 // TestUsageNamesExistingFlags checks every -name in each command's usage
 // text against that command's flag set, as `pallas <cmd> -h` prints it;
 // "[X flags]" claims every flag of command X.

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,8 +31,8 @@ import (
 	"pallas/internal/difftool"
 	"pallas/internal/failpoint"
 	"pallas/internal/feas"
-	"pallas/internal/incr"
 	"pallas/internal/infer"
+	"pallas/internal/server"
 )
 
 func main() {
@@ -113,10 +112,12 @@ commands:
            (exit: 0 clean, 1 warnings, 2 degraded, 3 fatal;
             -journal checkpoints per-file outcomes, -resume skips files the
             journal already settled, -retries retries transient failures,
-            -cache-dir replays unchanged files from the result cache,
-            -incr-dir replays unchanged *functions* from the per-function
-            memo — only edited functions and their transitive callers are
-            re-analyzed — and -cache-stats prints hit/miss/reuse counts;
+            -cache-dir replays unchanged files from the result cache, whose
+            memory and disk -cache-bytes bounds; -incr-dir and -incr-bytes
+            are aliases of -cache-dir and -cache-bytes that also turn on the
+            per-function memo in that cache, which replays unchanged
+            *functions* — only edited functions and their transitive callers
+            are re-analyzed — and -cache-stats prints hit/miss/reuse counts;
             -precision selects the feasibility tier: fast explores every
             structural path, balanced prunes interval-contradictory paths,
             strict adds budgeted cross-condition equality reasoning)
@@ -175,7 +176,7 @@ func cmdCheck(args []string) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("check: want at least one C file")
 	}
-	cfg, err := eng.config()
+	cfg, err := eng.config(&srv.cfg.CacheDir, &srv.cfg.CacheBytes)
 	if err != nil {
 		return fmt.Errorf("check: %w", err)
 	}
@@ -203,24 +204,30 @@ func cmdCheck(args []string) error {
 	}
 	if opts.CacheDir != "" {
 		fmt.Fprintf(os.Stderr, "pallas: cache %s: %d hit(s), %d miss(es)\n",
-			opts.CacheDir, stats.CacheHits, stats.CacheMisses)
+			opts.CacheDir, stats.Cache.Hits, stats.Cache.Misses)
 	}
 	if srv.cacheStats {
-		fmt.Fprintf(os.Stderr, "pallas: unit cache: %d hit(s), %d miss(es), %d analyzed\n",
-			stats.CacheHits, stats.CacheMisses, stats.Analyzed)
-		var is *incr.Stats
-		if st, ok := analyzer.IncrStats(); ok {
-			is = &st
-		}
-		var fst *pallas.FeasStats
-		tier, _ := feas.ParseTier(cfg.Precision)
-		if tier != feas.Fast {
-			st := analyzer.FeasStats()
-			fst = &st
-		}
-		printMemoAndFeas(os.Stderr, is, tier.String(), fst, true)
+		printUnitStats(os.Stderr, checkSnapshot(analyzer, stats, cfg.Precision), true)
 	}
 	return exitStatus(exit)
+}
+
+// checkSnapshot is check's -cache-stats snapshot, in the form serve takes
+// from Server.Snapshot: the batch's result cache, and the analyzer's memo
+// and feasibility counters. check analyzes a cache miss itself rather than
+// through the cache's GetOrCompute, so its computes are the units it
+// analyzed.
+func checkSnapshot(a *pallas.Analyzer, stats pallas.BatchStats, precision string) server.Health {
+	snap := server.Health{Cache: stats.Cache}
+	snap.Cache.Computes = int64(stats.Analyzed)
+	if st, ok := a.IncrStats(); ok {
+		snap.Incr = &st
+	}
+	if tier, _ := feas.ParseTier(precision); tier != feas.Fast {
+		st := a.FeasStats()
+		snap.Precision, snap.Feas = tier.String(), &st
+	}
+	return snap
 }
 
 // printJournalRecovery reports what opening the journal at path repaired.
@@ -231,34 +238,6 @@ func printJournalRecovery(path string, tornTail bool, quarantined int) {
 	if quarantined > 0 {
 		fmt.Fprintf(os.Stderr, "pallas: journal: quarantined %d corrupt record(s) to %s.quarantine\n",
 			quarantined, path)
-	}
-}
-
-// printMemoAndFeas writes the function-memo and feasibility lines of the
-// -cache-stats dumps: is is nil when the memo is off, fst nil on the fast
-// tier (precision names the tier otherwise). withReuse appends the memo's
-// reuse percentage, which only check reports.
-func printMemoAndFeas(w io.Writer, is *incr.Stats, precision string, fst *pallas.FeasStats, withReuse bool) {
-	if is == nil {
-		fmt.Fprintln(w, "pallas: func memo: off (enable with -incr-dir)")
-	} else {
-		fmt.Fprintf(w, "pallas: func memo: %d hit(s), %d miss(es), %d invalidation(s); unit verdicts: %d hit(s), %d miss(es)",
-			is.FuncHits, is.FuncMisses, is.FuncInvalidations, is.UnitHits, is.UnitMisses)
-		if withReuse {
-			total := is.FuncHits + is.FuncMisses + is.UnitHits + is.UnitMisses
-			reuse := int64(0)
-			if total > 0 {
-				reuse = (is.FuncHits + is.UnitHits) * 100 / total
-			}
-			fmt.Fprintf(w, "; reuse %d%%", reuse)
-		}
-		fmt.Fprintln(w)
-	}
-	if fst != nil {
-		fmt.Fprintf(w, "pallas: feas (%s): %d path(s) pruned, %d contradiction(s)\n",
-			precision, fst.Pruned, fst.Contradictions)
-	} else {
-		fmt.Fprintln(w, "pallas: feas: off (fast tier; enable with -precision balanced|strict)")
 	}
 }
 

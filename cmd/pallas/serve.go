@@ -96,14 +96,10 @@ func cmdServe(cmd string, args []string) error {
 }
 
 // printCacheStats renders the serve/worker -cache-stats exit dump from the
-// server's snapshot — the one /healthz?verbose=1 encodes as JSON: the unit
-// result cache, the function memo, the feasibility layer, and the shared
-// peer tier.
+// server's snapshot — the one /healthz?verbose=1 encodes as JSON: the lines
+// check prints too (printUnitStats), then the shared peer tier.
 func printCacheStats(w io.Writer, snap server.Health) {
-	cs := snap.Cache
-	fmt.Fprintf(w, "pallas: unit cache: %d hit(s) (%d mem, %d disk), %d miss(es), %d compute(s), %d disk-full prune(s)\n",
-		cs.Hits, cs.MemHits, cs.DiskHits, cs.Misses, cs.Computes, cs.DiskFullPrunes)
-	printMemoAndFeas(w, snap.Incr, snap.Precision, snap.Feas, false)
+	printUnitStats(w, snap, false)
 	ps := snap.PeerCache
 	if ps == nil {
 		fmt.Fprintln(w, "pallas: peer cache: off (enable with -cache-peers or cluster mode)")
@@ -113,4 +109,35 @@ func printCacheStats(w io.Writer, snap server.Health) {
 		ps.Epoch, ps.Peers, ps.Hits, ps.Misses, ps.RotRefusals, ps.Repairs, ps.Timeouts)
 	fmt.Fprintf(w, "pallas: peer cache: %d put(s) (%d bytes replicated); handoff %d queued, %d drained, %d dropped, %d pending; %d breaker trip(s), %d stale-epoch refusal(s)\n",
 		ps.Puts, ps.PutBytes, ps.HandoffQueued, ps.HandoffDrained, ps.HandoffDropped, ps.HandoffPending, ps.BreakerTrips, ps.StaleRefusals)
+}
+
+// printUnitStats writes the unit-cache, function-memo and feasibility lines
+// of a -cache-stats dump from one snapshot: a server's, or check's
+// (checkSnapshot). withReuse appends the memo's reuse percentage, which
+// only check reports.
+func printUnitStats(w io.Writer, snap server.Health, withReuse bool) {
+	cs := snap.Cache
+	fmt.Fprintf(w, "pallas: unit cache: %d hit(s) (%d mem, %d disk), %d miss(es), %d compute(s), %d disk-full prune(s)\n",
+		cs.Hits, cs.MemHits, cs.DiskHits, cs.Misses, cs.Computes, cs.DiskFullPrunes)
+	if is := snap.Incr; is == nil {
+		fmt.Fprintln(w, "pallas: func memo: off (enable with -incr-dir)")
+	} else {
+		fmt.Fprintf(w, "pallas: func memo: %d hit(s), %d miss(es), %d invalidation(s); unit verdicts: %d hit(s), %d miss(es)",
+			is.FuncHits, is.FuncMisses, is.FuncInvalidations, is.UnitHits, is.UnitMisses)
+		if withReuse {
+			total := is.FuncHits + is.FuncMisses + is.UnitHits + is.UnitMisses
+			reuse := int64(0)
+			if total > 0 {
+				reuse = (is.FuncHits + is.UnitHits) * 100 / total
+			}
+			fmt.Fprintf(w, "; reuse %d%%", reuse)
+		}
+		fmt.Fprintln(w)
+	}
+	if fst := snap.Feas; fst != nil {
+		fmt.Fprintf(w, "pallas: feas (%s): %d path(s) pruned, %d contradiction(s)\n",
+			snap.Precision, fst.Pruned, fst.Contradictions)
+	} else {
+		fmt.Fprintln(w, "pallas: feas: off (fast tier; enable with -precision balanced|strict)")
+	}
 }

@@ -21,23 +21,27 @@ import (
 	"pallas/internal/incr"
 	"pallas/internal/pathdb"
 	"pallas/internal/paths"
+	"pallas/internal/rcache"
 	"pallas/internal/report"
 	"pallas/internal/spec"
 )
 
-// IncrementalOptions configures the function-level memo store.
+// IncrementalOptions configures the function-level memo store. The zero
+// value turns the memo on. The memo keeps its records in the process's one
+// result cache: a server hands it its peer tier (Backing), and AnalyzeBatch
+// with a CacheDir hands it the batch's cache. Only an analyzer with neither
+// opens a cache of its own, from Dir and MaxBytes.
 type IncrementalOptions struct {
-	// Dir, when non-empty, persists the memo across processes at this
-	// directory (atomic writes; a crash mid-save never leaves a torn entry).
-	// Empty keeps the memo in memory only, scoped to the Analyzer.
+	// Dir, when non-empty, persists the memo's own cache across processes
+	// at this directory (atomic writes; a crash mid-save never leaves a
+	// torn entry). Empty keeps it in memory only, scoped to the Analyzer.
 	Dir string
-	// MaxBytes bounds the store — the in-memory LRU tier and the persistent
-	// directory alike. <= 0 means incr.DefaultMaxBytes.
+	// MaxBytes bounds the memo's own cache — the in-memory LRU tier and the
+	// persistent directory alike. <= 0 means rcache.DefaultMaxBytes.
 	MaxBytes int64
-	// Shared, when non-nil, rides the memo on the cluster's shared cache
-	// tier (internal/rcache/peer): local tiers first, fleet replicas
-	// second, so one edit re-checked on any worker warms them all.
-	Shared incr.SharedTier
+	// Backing, when non-nil, is the cache the memo keeps its records in
+	// (Dir and MaxBytes are then unused).
+	Backing incr.Backing
 }
 
 // extractFingerprint renders only the configuration fields that determine
@@ -57,30 +61,41 @@ func (c Config) extractFingerprint() string {
 // incremental analysis is off or the store failed to open (the analysis then
 // runs cold — EnsureIncremental surfaces the error to callers that care).
 func (a *Analyzer) incrStore() *incr.Store {
-	st, _ := a.incrOpen()
+	st, _ := a.incrOpen(nil)
 	return st
 }
 
-func (a *Analyzer) incrOpen() (*incr.Store, error) {
+// incrOpen opens the memo store once, over IncrementalOptions.Backing, else
+// over fallback (a batch's result cache), else over a cache of its own. A
+// store already open keeps its backing.
+func (a *Analyzer) incrOpen(fallback incr.Backing) (*incr.Store, error) {
 	if a.cfg.Incremental == nil {
 		return nil, nil
 	}
 	a.incrOnce.Do(func() {
-		a.incrMemo, a.incrErr = incr.Open(incr.Options{
-			Dir:      a.cfg.Incremental.Dir,
-			MaxBytes: a.cfg.Incremental.MaxBytes,
-			Registry: a.reg,
-			Shared:   a.cfg.Incremental.Shared,
-		})
+		b := a.cfg.Incremental.Backing
+		if b == nil {
+			b = fallback
+		}
+		if b == nil {
+			c, err := rcache.Open(rcache.Options{Dir: a.cfg.Incremental.Dir, MaxBytes: a.cfg.Incremental.MaxBytes})
+			if err != nil {
+				a.incrErr = err
+				return
+			}
+			b = incr.Local(c)
+		}
+		a.incrMemo = incr.Open(incr.Options{Backing: b, Registry: a.reg})
 	})
 	return a.incrMemo, a.incrErr
 }
 
 // EnsureIncremental eagerly opens the memo store so configuration problems
-// (an unwritable -incr-dir) surface as errors instead of silent cold runs.
-// It returns nil when incremental analysis is not configured.
+// (an unwritable IncrementalOptions.Dir) surface as errors instead of
+// silent cold runs. It returns nil when incremental analysis is not
+// configured.
 func (a *Analyzer) EnsureIncremental() error {
-	_, err := a.incrOpen()
+	_, err := a.incrOpen(nil)
 	return err
 }
 
@@ -148,7 +163,7 @@ func (m *memoRun) replayUnit(tu *cast.TranslationUnit, sp *spec.Spec, merged str
 // derivePaths returns the fill of a replayed verdict's path database: it
 // re-runs extraction over the parsed unit and spec with the paths.Config of
 // the memoized run, seeded with the function records that run left in the
-// memo's local tiers, so a replay whose paths are read costs no more than a
+// backing's local tiers, so a replay whose paths are read costs no more than a
 // warm miss. Extraction is deterministic and seeded records replay
 // byte-identically, so the database matches a cold run's. The fill
 // counts no memo lookup and no feasibility figure, since the verdict it
@@ -187,8 +202,8 @@ func (m *memoRun) funcKeys(sp *spec.Spec, visit func(fn, key, fp string)) {
 	}
 }
 
-// recorded returns the function records the local memo tiers hold for the
-// unit, read without counting (incr.Store.PeekFunc).
+// recorded returns the function records the backing's local tiers hold
+// for the unit, read without counting (incr.Store.PeekFunc).
 func (m *memoRun) recorded(sp *spec.Spec) map[string]*paths.FuncPaths {
 	out := map[string]*paths.FuncPaths{}
 	m.funcKeys(sp, func(fn, key, fp string) {

@@ -245,11 +245,10 @@ type ResultPayload struct {
 // PeerGetPayload is a FramePeerGet body: one peer asking another for a
 // cache entry.
 type PeerGetPayload struct {
-	// Key is the cache key (rcache content key or incr memo key).
+	// Key is the cache key (a result-cache content key or an incr memo
+	// key; the tier has one key space). A "space" field sent by an older
+	// peer is an unknown field and is ignored.
 	Key string `json:"key"`
-	// Space names which cache the key lives in: "unit" (the rcache result
-	// cache) or "incr" (the function memo). Empty means "unit".
-	Space string `json:"space,omitempty"`
 	// Epoch is the requester's ring epoch. A receiver whose epoch is newer
 	// refuses the request (HTTP 409), fencing a zombie peer that is routing
 	// on a stale ring; a receiver whose epoch is older adopts nothing — it
@@ -276,10 +275,8 @@ type PeerEntryPayload struct {
 
 // PeerPutPayload is a FramePeerPut body: a replicated cache write.
 type PeerPutPayload struct {
+	// Key is the cache key, as in PeerGetPayload.
 	Key string `json:"key"`
-	// Space names which cache the key lives in ("unit" or "incr"; empty
-	// means "unit").
-	Space string `json:"space,omitempty"`
 	// Entry is the marshaled rcache entry JSON, same format as
 	// PeerEntryPayload.Entry.
 	Entry json.RawMessage `json:"entry"`

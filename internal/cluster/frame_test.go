@@ -146,7 +146,7 @@ func FuzzClusterFrame(f *testing.F) {
 }
 
 func TestPeerFrameRoundTrips(t *testing.T) {
-	get := PeerGetPayload{Key: "k1", Space: "unit", Epoch: 7, From: "127.0.0.1:1"}
+	get := PeerGetPayload{Key: "k1", Epoch: 7, From: "127.0.0.1:1"}
 	var get2 PeerGetPayload
 	if err := DecodeFrame(bytes.NewReader(mustEncode(t, FramePeerGet, get)), FramePeerGet, &get2); err != nil {
 		t.Fatal(err)
@@ -164,12 +164,12 @@ func TestPeerFrameRoundTrips(t *testing.T) {
 		t.Fatalf("PeerEntry round trip: got %+v", ent2)
 	}
 
-	put := PeerPutPayload{Key: "k1", Space: "incr", Entry: []byte(`{"key":"k1"}`), Epoch: 9, From: "127.0.0.1:2"}
+	put := PeerPutPayload{Key: "k1", Entry: []byte(`{"key":"k1"}`), Epoch: 9, From: "127.0.0.1:2"}
 	var put2 PeerPutPayload
 	if err := DecodeFrame(bytes.NewReader(mustEncode(t, FramePeerPut, put)), FramePeerPut, &put2); err != nil {
 		t.Fatal(err)
 	}
-	if put2.Key != put.Key || put2.Space != put.Space || string(put2.Entry) != string(put.Entry) || put2.Epoch != 9 {
+	if put2.Key != put.Key || string(put2.Entry) != string(put.Entry) || put2.Epoch != 9 {
 		t.Fatalf("PeerPut round trip: got %+v", put2)
 	}
 }

@@ -6,8 +6,8 @@
 // must conservatively invalidate). A function's transitive fingerprint folds
 // in the local fingerprints of every function it can reach through calls, so
 // editing a callee invalidates all of its transitive callers. Memoized path
-// records and whole-unit verdicts live in a byte-bounded, persistently-tiered
-// store built on internal/rcache.
+// records and whole-unit verdicts live in the process's one result cache
+// (internal/rcache), under its byte bound.
 package incr
 
 import (
@@ -36,7 +36,7 @@ const (
 // length-framed (8-byte little-endian length, then the bytes) so part
 // boundaries cannot be confused — the same framing as pallas.ContentHash.
 // The format is pinned by TestIncrHashFormatPinned; changing it silently
-// invalidates every persisted memo store.
+// invalidates every persisted memo record.
 func Hash(parts ...string) string {
 	h := sha256.New()
 	for _, s := range parts {

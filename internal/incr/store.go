@@ -18,9 +18,6 @@ const (
 	UnitRecordVersion = 3
 )
 
-// DefaultMaxBytes bounds the memo store when Options.MaxBytes is unset.
-const DefaultMaxBytes = 64 << 20
-
 // FuncRecord is the persisted form of one memoized function extraction.
 type FuncRecord struct {
 	// Version is FuncRecordVersion at write time.
@@ -51,43 +48,39 @@ type UnitRecord struct {
 	Report json.RawMessage `json:"report"`
 }
 
-// SharedTier is the cluster-wide cache tier the memo can ride on (the peer
-// tier, internal/rcache/peer — named abstractly here to avoid an import
-// cycle through the analyzer). Register attaches the memo's own rcache as
-// the local backing store of the named space; Get and Put then consult the
-// local tiers first and the fleet's replicas second, so a function memoized
-// on any worker warms every worker. The tier's contract matches the memo's:
-// remote failures degrade to local, never error an analysis.
-type SharedTier interface {
-	Register(space string, local *rcache.Cache)
-	Get(space, key string) (*rcache.Entry, bool)
-	Put(space string, e *rcache.Entry) error
+// Backing is the cache a store keeps its records in: the process's one
+// result cache (see Local), or the cluster's peer tier over it
+// (internal/rcache/peer, named abstractly here to avoid an import cycle
+// through the analyzer), whose Get also consults the key's remote replicas
+// and whose Put replicates to them, so a function memoized on any worker
+// warms every worker. Memo keys are framed apart from result-cache content
+// hashes (FuncKey, UnitKey), so the records share the cache's budget,
+// directory and key space without colliding. Neither read counts a
+// result-cache lookup: memo lookups count on pallas_incr_* only. Failures
+// degrade to a miss, never error an analysis.
+type Backing interface {
+	// Get reads an entry, local tiers first.
+	Get(key string) (*rcache.Entry, bool)
+	// Peek reads only the local tiers.
+	Peek(key string) (*rcache.Entry, bool)
+	// Put stores an entry; a persistence fault costs durability only.
+	Put(e *rcache.Entry) error
 }
 
-// sharedSpace is the key space the memo occupies on the shared tier
-// (peer.SpaceIncr; keys are fingerprint hashes, disjoint from unit-cache
-// content hashes by construction).
-const sharedSpace = "incr"
+// Local is the Backing of a cache with no peers: reads are Peeks.
+func Local(c *rcache.Cache) Backing { return local{c} }
+
+type local struct{ *rcache.Cache }
+
+func (l local) Get(key string) (*rcache.Entry, bool) { return l.Peek(key) }
 
 // Options configures Open.
 type Options struct {
-	// Dir, when non-empty, persists the memo across processes at this
-	// directory (created if missing). Writes are atomic (temp + fsync +
-	// rename, via rcache), so a crash mid-save never leaves a torn entry.
-	Dir string
-	// MaxBytes bounds the store: it caps the in-memory tier's LRU (rcache)
-	// and the persistent tier's total size (oldest entries pruned once the
-	// directory outgrows it). <= 0 means DefaultMaxBytes.
-	MaxBytes int64
+	// Backing holds the records (required).
+	Backing Backing
 	// Registry holds the pallas_incr_* instruments, which are also what
 	// Stats reads; nil means a registry of the store's own.
 	Registry *metrics.Registry
-	// Shared, when non-nil, routes memo reads and writes through the
-	// cluster's shared cache tier: the store's own tiers stay the local
-	// layer (registered as the tier's "incr" space), with remote replicas
-	// behind them. Function-memo keys exclude the unit name, so one edit
-	// re-checked on any worker warms the whole fleet.
-	Shared SharedTier
 }
 
 // Stats is a point-in-time snapshot of memo activity.
@@ -102,87 +95,38 @@ type Stats struct {
 	// UnitHits / UnitMisses count whole-unit verdict lookups by outcome.
 	UnitHits   int64
 	UnitMisses int64
-	// Pruned counts persistent-tier files removed to hold MaxBytes (stale
-	// temp files of crashed writes included).
-	Pruned int64
 }
 
 // Store is the function-level memo store. All methods are safe for
-// concurrent use; the underlying tiers are an rcache (byte-bounded memory
-// LRU + atomic persistent writes, circuit breaker on disk faults) plus a
-// size trigger that runs rcache's prune loop to bound the persistent
-// directory.
+// concurrent use; the records live in the Backing it was opened on.
 type Store struct {
-	cache    *rcache.Cache
-	shared   SharedTier // nil: local tiers only
-	dir      string
-	maxBytes int64
+	b Backing
 
-	mu                sync.Mutex
-	lastFP            map[string]string // unit\x00fn → last lookup fingerprint
-	writtenSincePrune int64
-	pruning           bool
+	mu     sync.Mutex
+	lastFP map[string]string // unit\x00fn → last lookup fingerprint
 
 	mFuncHits, mFuncMisses, mFuncInval *metrics.Counter
-	mUnitHits, mUnitMisses, mPruned    *metrics.Counter
+	mUnitHits, mUnitMisses             *metrics.Counter
 	mRatio                             *metrics.Gauge
 }
 
-// Open opens (or creates) a memo store.
-func Open(o Options) (*Store, error) {
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = DefaultMaxBytes
-	}
-	c, err := rcache.Open(rcache.Options{Dir: o.Dir, MaxBytes: o.MaxBytes})
-	if err != nil {
-		return nil, err
-	}
+// Open opens a memo store over its backing.
+func Open(o Options) *Store {
 	reg := o.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	s := &Store{
-		cache:    c,
-		shared:   o.Shared,
-		dir:      o.Dir,
-		maxBytes: o.MaxBytes,
-		lastFP:   map[string]string{},
+	return &Store{
+		b:      o.Backing,
+		lastFP: map[string]string{},
 
 		mFuncHits:   reg.Counter(metrics.MetricIncrFuncHits, "function memo lookups replayed from the store"),
 		mFuncMisses: reg.Counter(metrics.MetricIncrFuncMisses, "function memo lookups that required extraction"),
 		mFuncInval:  reg.Counter(metrics.MetricIncrFuncInvalidations, "function memo entries invalidated by a fingerprint change"),
 		mUnitHits:   reg.Counter(metrics.MetricIncrUnitHits, "whole-unit verdict replays"),
 		mUnitMisses: reg.Counter(metrics.MetricIncrUnitMisses, "whole-unit verdict lookups that missed"),
-		mPruned:     reg.Counter(metrics.MetricIncrPruned, "persistent memo files pruned to hold the byte bound"),
 		mRatio:      reg.Gauge(metrics.MetricIncrReuseRatio, "memo reuse ratio x1000 (hits / lookups)"),
 	}
-	if s.shared != nil {
-		s.shared.Register(sharedSpace, c)
-	}
-	// A pre-existing directory may already exceed the bound (a previous run
-	// with a larger budget); trim it before serving.
-	s.mPruned.Add(int64(c.PruneOldest(s.diskBound)))
-	return s, nil
-}
-
-// get reads one memo entry: local tiers first, then — when the store rides
-// the shared tier — the key's remote replicas.
-func (s *Store) get(key string) (*rcache.Entry, bool) {
-	if s.shared != nil {
-		return s.shared.Get(sharedSpace, key)
-	}
-	return s.cache.Get(key)
-}
-
-// put writes one memo entry locally and, when the store rides the shared
-// tier, replicates it to the key's owners. Failures are absorbed either
-// way — a memo store must never fail an analysis.
-func (s *Store) put(e *rcache.Entry) {
-	if s.shared != nil {
-		_ = s.shared.Put(sharedSpace, e)
-		return
-	}
-	_ = s.cache.Put(e)
 }
 
 // GetFunc returns the memoized extraction stored under key, or nil on a
@@ -190,18 +134,18 @@ func (s *Store) put(e *rcache.Entry) {
 // fingerprint is re-verified against the record.
 func (s *Store) GetFunc(key, unit, fn, fingerprint string) *paths.FuncPaths {
 	var fp *paths.FuncPaths
-	if e, ok := s.get(key); ok {
+	if e, ok := s.b.Get(key); ok {
 		fp = decodeFunc(e, fn, fingerprint)
 	}
 	s.trackFunc(unit, fn, fingerprint, fp != nil)
 	return fp
 }
 
-// PeekFunc is GetFunc without a lookup: it reads only the store's local
+// PeekFunc is GetFunc without a lookup: it reads only the backing's local
 // tiers and counts nothing, for re-deriving what an already-counted
 // verdict replay stands for.
 func (s *Store) PeekFunc(key, fn, fingerprint string) *paths.FuncPaths {
-	if e, ok := s.cache.Peek(key); ok {
+	if e, ok := s.b.Peek(key); ok {
 		return decodeFunc(e, fn, fingerprint)
 	}
 	return nil
@@ -227,7 +171,7 @@ func decodeFunc(e *rcache.Entry, fn, fingerprint string) *paths.FuncPaths {
 // truncation depends on the run's budget and deadline, so replaying one
 // would not be byte-identical to a cold (untruncated) run. Store failures
 // are absorbed — a memo store must never fail an analysis — and surface
-// only through the rcache disk-fault counters and breaker.
+// only through the backing cache's disk-fault counters and breaker.
 func (s *Store) PutFunc(key, unit, fn, fingerprint string, fp *paths.FuncPaths) {
 	if fp == nil || fp.Truncated {
 		return
@@ -236,13 +180,12 @@ func (s *Store) PutFunc(key, unit, fn, fingerprint string, fp *paths.FuncPaths) 
 	if err != nil {
 		return
 	}
-	s.put(&rcache.Entry{
+	_ = s.b.Put(&rcache.Entry{
 		Key:    key,
 		Unit:   "incr-func:" + unit + "/" + fn,
 		Report: b,
 		Sum:    rcache.ContentSum(b, nil),
 	})
-	s.noteWrite(int64(len(b)))
 }
 
 // GetUnit returns the memoized whole-unit verdict stored under key, or nil.
@@ -258,7 +201,7 @@ func (s *Store) GetUnit(key, unit, fingerprint string) *UnitRecord {
 }
 
 func (s *Store) loadUnit(key, unit, fingerprint string) *UnitRecord {
-	e, ok := s.get(key)
+	e, ok := s.b.Get(key)
 	if !ok {
 		return nil
 	}
@@ -287,13 +230,12 @@ func (s *Store) PutUnit(key string, rec *UnitRecord) {
 	if err != nil {
 		return
 	}
-	s.put(&rcache.Entry{
+	_ = s.b.Put(&rcache.Entry{
 		Key:    key,
 		Unit:   "incr-unit:" + rec.Unit,
 		Report: b,
 		Sum:    rcache.ContentSum(b, nil),
 	})
-	s.noteWrite(int64(len(b)))
 }
 
 // Stats reads the store's registry counters: memo activity since the
@@ -305,7 +247,6 @@ func (s *Store) Stats() Stats {
 		FuncInvalidations: s.mFuncInval.Value(),
 		UnitHits:          s.mUnitHits.Value(),
 		UnitMisses:        s.mUnitMisses.Value(),
-		Pruned:            s.mPruned.Value(),
 	}
 }
 
@@ -336,31 +277,3 @@ func (s *Store) updateRatio() {
 		s.mRatio.Set(hits * 1000 / total)
 	}
 }
-
-// noteWrite schedules a persistent-tier prune once enough new bytes landed
-// since the last one. The trigger is approximate by design: the bound is a
-// budget, not a hard limit, and scanning the directory on every put would
-// dominate small writes.
-func (s *Store) noteWrite(n int64) {
-	if s.dir == "" {
-		return
-	}
-	s.mu.Lock()
-	s.writtenSincePrune += n
-	due := s.writtenSincePrune > s.maxBytes/4 && !s.pruning
-	if due {
-		s.pruning = true
-		s.writtenSincePrune = 0
-	}
-	s.mu.Unlock()
-	if due {
-		s.mPruned.Add(int64(s.cache.PruneOldest(s.diskBound)))
-		s.mu.Lock()
-		s.pruning = false
-		s.mu.Unlock()
-	}
-}
-
-// diskBound is the memo's prune target: whatever the persistent tier
-// holds, the oldest entries go until it fits MaxBytes.
-func (s *Store) diskBound(int64) int64 { return s.maxBytes }

@@ -1,9 +1,10 @@
 package incr
 
-// Store contract: byte-bounded in both tiers, atomic persistent writes (a
-// torn or garbage entry is a miss, never an error), truncated extractions
-// refused, invalidations detected by fingerprint change. The end-to-end
-// SIGKILL-mid-save crash test lives in cmd/pallas.
+// Store contract: records held in the backing cache under its byte bound in
+// both tiers, atomic persistent writes (a torn or garbage entry is a miss,
+// never an error), truncated extractions refused, invalidations detected by
+// fingerprint change. The end-to-end SIGKILL-mid-save crash test lives in
+// cmd/pallas.
 
 import (
 	"bytes"
@@ -19,16 +20,15 @@ import (
 	"pallas/internal/rcache"
 )
 
-func openStore(t *testing.T, o Options) *Store {
+// openStore opens a store over a fresh cache at dir (memory-only when
+// empty) bounded by maxBytes (0: the default), and returns both.
+func openStore(t *testing.T, dir string, maxBytes int64) (*Store, *rcache.Cache) {
 	t.Helper()
-	if o.Registry == nil {
-		o.Registry = metrics.NewRegistry()
-	}
-	s, err := Open(o)
+	c, err := rcache.Open(rcache.Options{Dir: dir, MaxBytes: maxBytes})
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("rcache.Open: %v", err)
 	}
-	return s
+	return Open(Options{Backing: Local(c), Registry: metrics.NewRegistry()}), c
 }
 
 func funcPaths(fn string, n int) *paths.FuncPaths {
@@ -43,7 +43,7 @@ func funcPaths(fn string, n int) *paths.FuncPaths {
 }
 
 func TestStoreFuncRoundTrip(t *testing.T) {
-	s := openStore(t, Options{Dir: t.TempDir()})
+	s, _ := openStore(t, t.TempDir(), 0)
 	want := funcPaths("fast", 2)
 	s.PutFunc("key-aaa1", "u.c", "fast", "fp1", want)
 
@@ -65,10 +65,27 @@ func TestStoreFuncRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreLookupsCountOnlyOnIncr: memo lookups count on pallas_incr_*
+// only, so the backing cache's hit and miss counters keep counting result
+// lookups alone.
+func TestStoreLookupsCountOnlyOnIncr(t *testing.T) {
+	s, c := openStore(t, t.TempDir(), 0)
+	s.PutFunc("key-aaa1", "u.c", "fast", "fp1", funcPaths("fast", 1))
+	s.GetFunc("key-aaa1", "u.c", "fast", "fp1")
+	s.GetUnit("key-unit", "u.c", "ufp")
+	s.PeekFunc("key-aaa1", "fast", "fp1")
+	if cs := c.Stats(); cs.Hits != 0 || cs.Misses != 0 || cs.Entries != 1 {
+		t.Fatalf("cache stats = %+v, want no lookups counted and one entry", cs)
+	}
+	if st := s.Stats(); st.FuncHits != 1 || st.UnitMisses != 1 {
+		t.Fatalf("memo stats = %+v, want 1 function hit / 1 unit miss", st)
+	}
+}
+
 // TestStoreRefusesTruncated: budget-truncated extractions are
 // timing-dependent, so the store must refuse them on write and on read.
 func TestStoreRefusesTruncated(t *testing.T) {
-	s := openStore(t, Options{})
+	s, _ := openStore(t, "", 0)
 	fp := funcPaths("fast", 1)
 	fp.Truncated = true
 	s.PutFunc("key-aaa1", "u.c", "fast", "fp1", fp)
@@ -85,7 +102,7 @@ func TestStoreRefusesTruncated(t *testing.T) {
 // slot seen before counts as an invalidation — the DAG carried an edit to
 // this function.
 func TestStoreInvalidationAccounting(t *testing.T) {
-	s := openStore(t, Options{})
+	s, _ := openStore(t, "", 0)
 	s.PutFunc("key-aaa1", "u.c", "fast", "fp1", funcPaths("fast", 1))
 	s.GetFunc("key-aaa1", "u.c", "fast", "fp1") // hit, first sight of the slot
 	s.GetFunc("key-aaa2", "u.c", "fast", "fp2") // miss, fingerprint changed
@@ -102,7 +119,7 @@ func TestStoreInvalidationAccounting(t *testing.T) {
 }
 
 func TestStoreUnitRoundTrip(t *testing.T) {
-	s := openStore(t, Options{Dir: t.TempDir()})
+	s, _ := openStore(t, t.TempDir(), 0)
 	rec := &UnitRecord{
 		Unit:        "u.c",
 		Fingerprint: "ufp1",
@@ -137,10 +154,10 @@ func TestStoreUnitRoundTrip(t *testing.T) {
 // unit records — version 1 nested the path database in the document,
 // version 2 carried it in the entry's Paths — must read as misses.
 func TestIncrRecordFormatPinned(t *testing.T) {
-	s := openStore(t, Options{})
+	s, c := openStore(t, "", 0)
 	raw := func(key string) *rcache.Entry {
 		t.Helper()
-		e, ok := s.cache.Get(key)
+		e, ok := c.Peek(key)
 		if !ok {
 			t.Fatalf("%s: no entry stored", key)
 		}
@@ -169,7 +186,7 @@ func TestIncrRecordFormatPinned(t *testing.T) {
 	}
 
 	v1 := []byte(`{"version":1,"unit":"u.c","fingerprint":"ufp1","report":` + report + `,"pathdb":` + pathdb + `}`)
-	s.cache.Put(&rcache.Entry{Key: "key-v1", Unit: "incr-unit:u.c", Report: v1, Sum: rcache.ContentSum(v1, nil)})
+	c.Put(&rcache.Entry{Key: "key-v1", Unit: "incr-unit:u.c", Report: v1, Sum: rcache.ContentSum(v1, nil)})
 	if s.GetUnit("key-v1", "u.c", "ufp1") != nil {
 		t.Fatal("version-1 unit record (nested path database) replayed")
 	}
@@ -177,7 +194,7 @@ func TestIncrRecordFormatPinned(t *testing.T) {
 	// database out of band in Paths — is a miss although its header
 	// decodes into the v3 layout.
 	v2 := []byte(`{"version":2,"unit":"u.c","fingerprint":"ufp1","report":` + report + `}`)
-	s.cache.Put(&rcache.Entry{Key: "key-v2", Unit: "incr-unit:u.c", Report: v2, Paths: []byte(pathdb), Sum: rcache.ContentSum(v2, []byte(pathdb))})
+	c.Put(&rcache.Entry{Key: "key-v2", Unit: "incr-unit:u.c", Report: v2, Paths: []byte(pathdb), Sum: rcache.ContentSum(v2, []byte(pathdb))})
 	if s.GetUnit("key-v2", "u.c", "ufp1") != nil {
 		t.Fatal("version-2 unit record replayed")
 	}
@@ -202,9 +219,11 @@ func unitRecord(unit string, n int) *UnitRecord {
 func TestStoreUnitReopenReplays(t *testing.T) {
 	dir := t.TempDir()
 	rec := unitRecord("u.c", 4<<10)
-	openStore(t, Options{Dir: dir}).PutUnit("key-unit", rec)
+	s1, _ := openStore(t, dir, 0)
+	s1.PutUnit("key-unit", rec)
 
-	got := openStore(t, Options{Dir: dir}).GetUnit("key-unit", "u.c", "ufp")
+	s2, _ := openStore(t, dir, 0)
+	got := s2.GetUnit("key-unit", "u.c", "ufp")
 	if got == nil {
 		t.Fatal("persisted unit verdict missed after reopen")
 	}
@@ -213,15 +232,15 @@ func TestStoreUnitReopenReplays(t *testing.T) {
 	}
 }
 
-// TestStoreUnitLargeEntryPrunesDisk: the prune trigger counts the whole
-// unit record. Two verdicts each past MaxBytes/4 must each trigger a
-// prune, and the second one finds the directory over budget.
+// TestStoreUnitLargeEntryPrunesDisk: the backing cache's prune trigger
+// counts the whole unit record. Two verdicts each past MaxBytes/4 must each
+// trigger a prune, and the second one finds the directory over budget.
 func TestStoreUnitLargeEntryPrunesDisk(t *testing.T) {
 	const maxBytes = 64 << 10
-	s := openStore(t, Options{Dir: t.TempDir(), MaxBytes: maxBytes})
+	s, c := openStore(t, t.TempDir(), maxBytes)
 	s.PutUnit("key-u1", unitRecord("a.c", 40<<10))
 	s.PutUnit("key-u2", unitRecord("b.c", 40<<10))
-	if s.Stats().Pruned == 0 {
+	if c.Stats().Pruned == 0 {
 		t.Fatal("writing 80KiB of unit verdicts into a 64KiB store pruned nothing")
 	}
 }
@@ -230,11 +249,11 @@ func TestStoreUnitLargeEntryPrunesDisk(t *testing.T) {
 // unit record, so large unit verdicts evict each other instead of piling up.
 func TestStoreUnitMemoryBounded(t *testing.T) {
 	const maxBytes = 64 << 10
-	s := openStore(t, Options{MaxBytes: maxBytes})
+	s, c := openStore(t, "", maxBytes)
 	for i := 0; i < 10; i++ {
 		s.PutUnit(fmt.Sprintf("key-u%d", i), unitRecord(fmt.Sprintf("u%d.c", i), 20<<10))
 	}
-	cs := s.cache.Stats()
+	cs := c.Stats()
 	if cs.Bytes > maxBytes || cs.Evictions == 0 {
 		t.Fatalf("memory tier holds %d bytes with %d evictions, budget %d", cs.Bytes, cs.Evictions, maxBytes)
 	}
@@ -247,10 +266,10 @@ func TestStoreUnitMemoryBounded(t *testing.T) {
 // the first one's entries — the cross-process warm-start path.
 func TestStorePersistsAcrossOpens(t *testing.T) {
 	dir := t.TempDir()
-	s1 := openStore(t, Options{Dir: dir})
+	s1, _ := openStore(t, dir, 0)
 	s1.PutFunc("key-aaa1", "u.c", "fast", "fp1", funcPaths("fast", 2))
 
-	s2 := openStore(t, Options{Dir: dir})
+	s2, _ := openStore(t, dir, 0)
 	if s2.GetFunc("key-aaa1", "u.c", "fast", "fp1") == nil {
 		t.Fatal("persisted entry missed after reopen")
 	}
@@ -261,7 +280,7 @@ func TestStorePersistsAcrossOpens(t *testing.T) {
 // usable — fresh writes land and read back.
 func TestStoreTornEntriesAreMisses(t *testing.T) {
 	dir := t.TempDir()
-	s1 := openStore(t, Options{Dir: dir})
+	s1, _ := openStore(t, dir, 0)
 	s1.PutFunc("key-aaa1", "u.c", "fast", "fp1", funcPaths("fast", 1))
 
 	// Corrupt every persisted entry three ways: binary garbage, a torn JSON
@@ -288,7 +307,7 @@ func TestStoreTornEntriesAreMisses(t *testing.T) {
 		}
 	}
 
-	s2 := openStore(t, Options{Dir: dir})
+	s2, _ := openStore(t, dir, 0)
 	if s2.GetFunc("key-aaa1", "u.c", "fast", "fp1") != nil {
 		t.Fatal("corrupted entry replayed")
 	}
@@ -298,17 +317,18 @@ func TestStoreTornEntriesAreMisses(t *testing.T) {
 	}
 }
 
-// TestStorePruneBoundsDisk: the persistent tier converges to MaxBytes by
-// removing the oldest entries; pruned entries become misses, newest entries
-// survive.
+// TestStorePruneBoundsDisk: memo records in the backing cache's persistent
+// tier converge to its MaxBytes by removing the oldest entries; pruned
+// entries become misses, newest entries survive.
 func TestStorePruneBoundsDisk(t *testing.T) {
 	dir := t.TempDir()
 	const maxBytes = 8 << 10
-	s := openStore(t, Options{Dir: dir, MaxBytes: maxBytes})
+	s, c := openStore(t, dir, maxBytes)
 	for i := 0; i < 64; i++ {
 		s.PutFunc(fmt.Sprintf("key-%03d", i), "u.c", fmt.Sprintf("f%d", i), "fp", funcPaths(fmt.Sprintf("f%d", i), 4))
 	}
-	s.noteWrite(maxBytes) // force the write trigger due, whatever the writes left pending
+	// Prune to the bound, whatever the writes left pending for the trigger.
+	c.PruneOldest(func(int64) int64 { return maxBytes })
 
 	var total int64
 	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
@@ -322,12 +342,12 @@ func TestStorePruneBoundsDisk(t *testing.T) {
 	if total > maxBytes {
 		t.Fatalf("persistent tier holds %d bytes, budget %d", total, maxBytes)
 	}
-	if s.Stats().Pruned == 0 {
+	if c.Stats().Pruned == 0 {
 		t.Fatal("nothing pruned despite exceeding the budget")
 	}
 
 	// A fresh store over the pruned directory still serves what survived.
-	s2 := openStore(t, Options{Dir: dir, MaxBytes: maxBytes})
+	s2, _ := openStore(t, dir, maxBytes)
 	hits := 0
 	for i := 0; i < 64; i++ {
 		if s2.GetFunc(fmt.Sprintf("key-%03d", i), "u.c", fmt.Sprintf("f%d", i), "fp") != nil {
@@ -339,16 +359,16 @@ func TestStorePruneBoundsDisk(t *testing.T) {
 	}
 }
 
-// TestStoreOpenPrunesOversizedDir: Open itself trims a directory left over
-// from a run with a larger budget.
+// TestStoreOpenPrunesOversizedDir: opening the backing cache trims a memo
+// directory left over from a run with a larger budget.
 func TestStoreOpenPrunesOversizedDir(t *testing.T) {
 	dir := t.TempDir()
-	big := openStore(t, Options{Dir: dir, MaxBytes: 1 << 20})
+	big, _ := openStore(t, dir, 1<<20)
 	for i := 0; i < 64; i++ {
 		big.PutFunc(fmt.Sprintf("key-%03d", i), "u.c", fmt.Sprintf("f%d", i), "fp", funcPaths(fmt.Sprintf("f%d", i), 4))
 	}
 
-	small := openStore(t, Options{Dir: dir, MaxBytes: 4 << 10})
+	_, small := openStore(t, dir, 4<<10)
 	if small.Stats().Pruned == 0 {
 		t.Fatal("Open left an oversized directory untrimmed")
 	}
@@ -358,7 +378,11 @@ func TestStoreOpenPrunesOversizedDir(t *testing.T) {
 // registry and move with activity.
 func TestStoreMetricsRegistered(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := openStore(t, Options{Registry: reg})
+	c, err := rcache.Open(rcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Open(Options{Backing: Local(c), Registry: reg})
 	s.PutFunc("key-aaa1", "u.c", "fast", "fp1", funcPaths("fast", 1))
 	s.GetFunc("key-aaa1", "u.c", "fast", "fp1")
 	s.GetFunc("key-aaa2", "u.c", "fast", "fp2")

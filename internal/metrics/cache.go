@@ -15,4 +15,5 @@ const (
 	MetricCacheDiskFaults     = "pallas_cache_disk_faults_total"
 	MetricCacheDiskFullPrunes = "pallas_cache_disk_full_prunes_total"
 	MetricCacheBreakerSkips   = "pallas_cache_breaker_skips_total"
+	MetricCachePruned         = "pallas_cache_pruned_total"
 )

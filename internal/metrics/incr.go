@@ -22,10 +22,6 @@ const (
 	MetricIncrUnitHits = "pallas_incr_unit_hits_total"
 	// MetricIncrUnitMisses counts whole-unit verdict lookups that missed.
 	MetricIncrUnitMisses = "pallas_incr_unit_misses_total"
-	// MetricIncrPruned counts persistent-tier memo files removed to hold
-	// the store's byte bound, by rcache's prune loop (stale temp files of
-	// crashed writes included).
-	MetricIncrPruned = "pallas_incr_pruned_total"
 	// MetricIncrReuseRatio gauges the memo's reuse ratio ×1000: hits /
 	// (hits + misses) over all function and unit lookups since the store
 	// opened. 1000 means every lookup was served from the memo.

@@ -1,7 +1,8 @@
 // Package peer is the shared cluster cache tier: it federates the
-// worker-local rcache tiers (unit result cache and incr function memo) into
-// one logical cache over consistent-hash key routing, so a unit analyzed —
-// or a function memoized — on any worker warms the whole fleet.
+// worker-local result caches (rcache, which also hold the incr memo's
+// records) into one logical cache over consistent-hash key routing, so a
+// unit analyzed — or a function memoized — on any worker warms the whole
+// fleet.
 //
 // The design center is robustness, not throughput: the tier is an
 // accelerator that must never become a dependency. Every remote operation
@@ -30,10 +31,9 @@
 //     peer ops from senders with an older epoch, so a rejoining zombie
 //     cannot serve or seed entries under stale routing.
 //
-// The tier carries multiple named key spaces over one wire: "unit" (the
-// content-addressed result cache) and "incr" (the function-level memo),
-// each backed by its own local rcache. Keys are content hashes in both
-// spaces, so cross-space collision is impossible by construction.
+// The tier has one key space, the local cache's: result entries are keyed
+// on content hashes and memo records on framed fingerprint hashes
+// (incr.FuncKey, incr.UnitKey), so the kinds cannot collide.
 package peer
 
 import (
@@ -51,15 +51,6 @@ import (
 	"pallas/internal/metrics"
 	"pallas/internal/overload"
 	"pallas/internal/rcache"
-)
-
-// Key spaces carried by the tier. A space names which local cache a key
-// lives in; the wire payloads carry it so one endpoint pair serves both.
-const (
-	// SpaceUnit is the content-addressed unit result cache (rcache).
-	SpaceUnit = "unit"
-	// SpaceIncr is the function-level memo store (internal/incr).
-	SpaceIncr = "incr"
 )
 
 // Defaults. The op timeout is deliberately tight: a peer fetch competes
@@ -163,7 +154,6 @@ type Stats struct {
 
 // hint is one queued hinted-handoff write.
 type hint struct {
-	space string
 	key   string
 	entry []byte // marshaled rcache.Entry
 }
@@ -187,8 +177,9 @@ type Tier struct {
 	breakerCooldown time.Duration
 	client          *http.Client
 
+	local *rcache.Cache
+
 	mu       sync.Mutex
-	spaces   map[string]*rcache.Cache
 	ring     *cluster.Ring
 	replicas int
 	epoch    int64
@@ -206,10 +197,9 @@ type Tier struct {
 	mEpoch                              *metrics.Gauge
 }
 
-// New builds a tier over the given local unit cache. More spaces (the incr
-// memo) attach through Register; routing arrives through Update. The tier
-// starts inert — no peers, epoch 0 — which is exactly the degraded mode it
-// falls back to under a full partition.
+// New builds a tier over the process's local cache; routing arrives
+// through Update. The tier starts inert — no peers, epoch 0 — which is
+// exactly the degraded mode it falls back to under a full partition.
 func New(local *rcache.Cache, opts Options) *Tier {
 	if opts.Replicas <= 0 {
 		opts.Replicas = DefaultReplicas
@@ -242,7 +232,7 @@ func New(local *rcache.Cache, opts Options) *Tier {
 		breakerThresh:   opts.BreakerThreshold,
 		breakerCooldown: opts.BreakerCooldown,
 		client:          client,
-		spaces:          map[string]*rcache.Cache{},
+		local:           local,
 		replicas:        opts.Replicas,
 		peers:           map[string]*peerState{},
 		drainStop:       make(chan struct{}),
@@ -263,22 +253,8 @@ func New(local *rcache.Cache, opts Options) *Tier {
 		mStale:    reg.Counter(metrics.MetricPeerStaleEpochRefusals, "peer ops refused for a stale sender epoch"),
 		mEpoch:    reg.Gauge(metrics.MetricPeerEpoch, "current ring epoch of the shared cache tier"),
 	}
-	if local != nil {
-		t.spaces[SpaceUnit] = local
-	}
 	go t.drainLoop()
 	return t
-}
-
-// Register attaches a local cache as the backing store of a key space
-// (SpaceIncr for the function memo). Safe to call at any time; a space may
-// be registered once.
-func (t *Tier) Register(space string, local *rcache.Cache) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.spaces[space]; !dup && local != nil {
-		t.spaces[space] = local
-	}
 }
 
 // SetSelf fixes this process's own cache address once it is known (workers
@@ -395,13 +371,6 @@ func (t *Tier) Stats() Stats {
 	return s
 }
 
-// local returns the cache backing a space (nil for an unregistered one).
-func (t *Tier) local(space string) *rcache.Cache {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spaces[space]
-}
-
 // owners snapshots the remote owner set for key: the first replicas ring
 // owners, self excluded, each paired with its breaker. Also returns the
 // current epoch.
@@ -428,28 +397,29 @@ func (t *Tier) owners(key string) ([]string, int64) {
 // timeout, shed, stale-epoch refusal, checksum rot — degrades to the next
 // replica and finally to a miss; Get never blocks beyond
 // replicas × OpTimeout and never returns an unverified entry from the wire.
-func (t *Tier) Get(space, key string) (*rcache.Entry, bool) {
-	local := t.local(space)
-	if local == nil {
-		return nil, false
-	}
-	if e, ok := local.Get(key); ok {
+// The local read counts no result-cache lookup (the memo, Get's caller,
+// counts its own), while remote outcomes count on pallas_peer_*.
+func (t *Tier) Get(key string) (*rcache.Entry, bool) {
+	if e, ok := t.local.Peek(key); ok {
 		return e, true
 	}
-	e, ok := t.FetchRemote(space, key)
+	e, ok := t.FetchRemote(key)
 	if !ok {
 		return nil, false
 	}
-	_ = local.Put(e) // promote; a persist fault only costs durability
+	_ = t.local.Put(e) // promote; a persist fault only costs durability
 	return e, true
 }
+
+// Peek reads only the local tiers, counting nothing.
+func (t *Tier) Peek(key string) (*rcache.Entry, bool) { return t.local.Peek(key) }
 
 // FetchRemote consults only the key's remote replicas (no local lookup, no
 // local promotion), for callers that compose the tier with their own local
 // layer — the server's singleflight runs FetchRemote inside GetOrCompute,
 // whose own Put promotes the result. Verification and read-repair behave
 // as in Get.
-func (t *Tier) FetchRemote(space, key string) (*rcache.Entry, bool) {
+func (t *Tier) FetchRemote(key string) (*rcache.Entry, bool) {
 	owners, epoch := t.owners(key)
 	if len(owners) == 0 {
 		return nil, false
@@ -464,12 +434,12 @@ func (t *Tier) FetchRemote(space, key string) (*rcache.Entry, bool) {
 			t.mSkips.Inc()
 			continue
 		}
-		e, outcome := t.fetch(addr, space, key, epoch)
+		e, outcome := t.fetch(addr, key, epoch)
 		t.settle(ps, outcome)
 		switch outcome {
 		case fetchHit:
 			t.mHits.Inc()
-			t.readRepair(space, key, e, repair, epoch)
+			t.readRepair(key, e, repair, epoch)
 			return e, true
 		case fetchMiss, fetchRot:
 			repair = append(repair, addr)
@@ -483,20 +453,16 @@ func (t *Tier) FetchRemote(space, key string) (*rcache.Entry, bool) {
 // owners. The local write is authoritative — its error (persistence fault)
 // is the return value; replication failures are absorbed into hinted
 // handoff and surface only as counters.
-func (t *Tier) Put(space string, e *rcache.Entry) error {
-	local := t.local(space)
-	if local == nil {
-		return fmt.Errorf("peer: unregistered space %q", space)
-	}
-	perr := local.Put(e)
-	t.ReplicateRemote(space, e)
+func (t *Tier) Put(e *rcache.Entry) error {
+	perr := t.local.Put(e)
+	t.ReplicateRemote(e)
 	return perr
 }
 
 // ReplicateRemote delivers an entry to its remote ring owners without
 // touching the local tiers, for callers whose local layer already holds it.
 // Unreachable owners are owed a hinted handoff.
-func (t *Tier) ReplicateRemote(space string, e *rcache.Entry) {
+func (t *Tier) ReplicateRemote(e *rcache.Entry) {
 	owners, epoch := t.owners(e.Key)
 	if len(owners) == 0 {
 		return
@@ -506,36 +472,36 @@ func (t *Tier) ReplicateRemote(space string, e *rcache.Entry) {
 		return
 	}
 	for _, addr := range owners {
-		t.replicate(addr, space, e.Key, b, epoch)
+		t.replicate(addr, e.Key, b, epoch)
 	}
 }
 
 // replicate delivers one entry to one owner, queueing a hint on any
 // failure (breaker-open included: a tripped peer is by definition owed its
 // writes for later).
-func (t *Tier) replicate(addr, space, key string, entry []byte, epoch int64) {
+func (t *Tier) replicate(addr, key string, entry []byte, epoch int64) {
 	ps := t.peer(addr)
 	if ps == nil {
 		return
 	}
 	if ps.breaker != nil && !ps.breaker.Allow() {
 		t.mSkips.Inc()
-		t.enqueueHint(addr, &hint{space: space, key: key, entry: entry})
+		t.enqueueHint(addr, &hint{key: key, entry: entry})
 		return
 	}
-	outcome := t.sendPut(addr, space, key, entry, epoch)
+	outcome := t.sendPut(addr, key, entry, epoch)
 	t.settle(ps, outcome)
 	if outcome == fetchHit {
 		t.mPuts.Inc()
 		t.mPutBytes.Add(int64(len(entry)))
 		return
 	}
-	t.enqueueHint(addr, &hint{space: space, key: key, entry: entry})
+	t.enqueueHint(addr, &hint{key: key, entry: entry})
 }
 
 // readRepair pushes a verified entry to the replicas that should have had
 // it but answered miss or rot, restoring the replication factor.
-func (t *Tier) readRepair(space, key string, e *rcache.Entry, owed []string, epoch int64) {
+func (t *Tier) readRepair(key string, e *rcache.Entry, owed []string, epoch int64) {
 	if len(owed) == 0 {
 		return
 	}
@@ -551,7 +517,7 @@ func (t *Tier) readRepair(space, key string, e *rcache.Entry, owed []string, epo
 		if ps.breaker != nil && !ps.breaker.Allow() {
 			continue
 		}
-		outcome := t.sendPut(addr, space, key, b, epoch)
+		outcome := t.sendPut(addr, key, b, epoch)
 		t.settle(ps, outcome)
 		if outcome == fetchHit {
 			t.mRepairs.Inc()
@@ -599,9 +565,9 @@ const (
 // fetch performs one remote get with the per-op deadline and full
 // verification. It returns an entry only when the peer's bytes re-verify
 // against their embedded content checksum.
-func (t *Tier) fetch(addr, space, key string, epoch int64) (*rcache.Entry, int) {
+func (t *Tier) fetch(addr, key string, epoch int64) (*rcache.Entry, int) {
 	frame, err := cluster.EncodeFrame(cluster.FramePeerGet, cluster.PeerGetPayload{
-		Key: key, Space: space, Epoch: epoch, From: t.self,
+		Key: key, Epoch: epoch, From: t.self,
 	})
 	if err != nil {
 		return nil, fetchErr
@@ -681,9 +647,9 @@ func verifyEntry(key string, raw []byte) (*rcache.Entry, bool) {
 
 // sendPut performs one remote put with the per-op deadline, returning a
 // fetch outcome (fetchHit means acknowledged).
-func (t *Tier) sendPut(addr, space, key string, entry []byte, epoch int64) int {
+func (t *Tier) sendPut(addr, key string, entry []byte, epoch int64) int {
 	frame, err := cluster.EncodeFrame(cluster.FramePeerPut, cluster.PeerPutPayload{
-		Key: key, Space: space, Entry: entry, Epoch: epoch, From: t.self,
+		Key: key, Entry: entry, Epoch: epoch, From: t.self,
 	})
 	if err != nil {
 		return fetchErr
@@ -735,7 +701,7 @@ func (t *Tier) enqueueHint(addr string, h *hint) {
 	}
 	// Coalesce: a newer write of the same key supersedes the queued one.
 	for i, old := range ps.hints {
-		if old.space == h.space && old.key == h.key {
+		if old.key == h.key {
 			ps.bytes += int64(len(h.entry)) - int64(len(old.entry))
 			t.hintSize += int64(len(h.entry)) - int64(len(old.entry))
 			ps.hints[i] = h
@@ -820,7 +786,7 @@ func (t *Tier) DrainOnce() int {
 			if w.ps.breaker != nil && !w.ps.breaker.Allow() {
 				break
 			}
-			outcome := t.sendPut(w.addr, h.space, h.key, h.entry, epoch)
+			outcome := t.sendPut(w.addr, h.key, h.entry, epoch)
 			t.settle(w.ps, outcome)
 			if outcome != fetchHit {
 				break
@@ -845,19 +811,12 @@ func (t *Tier) DrainOnce() int {
 // ServeGet answers a peer's get against the local tiers (no remote
 // recursion). stale reports that the sender's epoch is older than ours —
 // the caller must refuse with 409 so a zombie stops trusting its routing.
-func (t *Tier) ServeGet(space, key string, senderEpoch int64) (entry []byte, found, stale bool) {
-	t.mu.Lock()
-	myEpoch := t.epoch
-	local := t.spaces[spaceOrUnit(space)]
-	t.mu.Unlock()
-	if senderEpoch < myEpoch {
+func (t *Tier) ServeGet(key string, senderEpoch int64) (entry []byte, found, stale bool) {
+	if senderEpoch < t.Epoch() {
 		t.mStale.Inc()
 		return nil, false, true
 	}
-	if local == nil {
-		return nil, false, false
-	}
-	e, ok := local.Get(key)
+	e, ok := t.local.Get(key)
 	if !ok {
 		return nil, false, false
 	}
@@ -872,17 +831,10 @@ func (t *Tier) ServeGet(space, key string, senderEpoch int64) (entry []byte, fou
 // validation: malformed or checksum-rotted entries are refused (counted as
 // rot) so a corrupting peer cannot poison this replica. stale works as in
 // ServeGet.
-func (t *Tier) ServePut(space, key string, entry []byte, senderEpoch int64) (stale bool, err error) {
-	t.mu.Lock()
-	myEpoch := t.epoch
-	local := t.spaces[spaceOrUnit(space)]
-	t.mu.Unlock()
-	if senderEpoch < myEpoch {
+func (t *Tier) ServePut(key string, entry []byte, senderEpoch int64) (stale bool, err error) {
+	if senderEpoch < t.Epoch() {
 		t.mStale.Inc()
 		return true, nil
-	}
-	if local == nil {
-		return false, fmt.Errorf("peer: unregistered space %q", space)
 	}
 	e, ok := verifyEntry(key, entry)
 	if !ok || e == nil {
@@ -892,13 +844,6 @@ func (t *Tier) ServePut(space, key string, entry []byte, senderEpoch int64) (sta
 		t.mRot.Inc()
 		return false, fmt.Errorf("peer: put refused: entry failed verification")
 	}
-	_ = local.Put(e) // a persist fault costs durability, not correctness
+	_ = t.local.Put(e) // a persist fault costs durability, not correctness
 	return false, nil
-}
-
-func spaceOrUnit(space string) string {
-	if space == "" {
-		return SpaceUnit
-	}
-	return space
 }

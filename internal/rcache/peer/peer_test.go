@@ -6,6 +6,7 @@ package peer
 // these tests cover the same code paths the server handlers drive.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -19,6 +20,7 @@ import (
 	"pallas/internal/cluster"
 	"pallas/internal/incr"
 	"pallas/internal/metrics"
+	"pallas/internal/paths"
 	"pallas/internal/rcache"
 )
 
@@ -40,7 +42,7 @@ func serveTier(t *Tier) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		entry, found, stale := t.ServeGet(get.Space, get.Key, get.Epoch)
+		entry, found, stale := t.ServeGet(get.Key, get.Epoch)
 		if stale {
 			http.Error(w, "stale epoch", http.StatusConflict)
 			return
@@ -55,7 +57,7 @@ func serveTier(t *Tier) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		stale, err := t.ServePut(put.Space, put.Key, put.Entry, put.Epoch)
+		stale, err := t.ServePut(put.Key, put.Entry, put.Epoch)
 		if stale {
 			http.Error(w, "stale epoch", http.StatusConflict)
 			return
@@ -139,14 +141,14 @@ func TestInertTierDegradesToLocal(t *testing.T) {
 		t.Fatal("tier with no peers reports enabled")
 	}
 	k := key64("aa")
-	if _, ok := n.tier.Get(SpaceUnit, k); ok {
+	if _, ok := n.tier.Get(k); ok {
 		t.Fatal("inert tier invented an entry")
 	}
 	e := mkEntry(k, `{"w":1}`)
-	if err := n.tier.Put(SpaceUnit, e); err != nil {
+	if err := n.tier.Put(e); err != nil {
 		t.Fatalf("inert put: %v", err)
 	}
-	if got, ok := n.tier.Get(SpaceUnit, k); !ok || got.Key != k {
+	if got, ok := n.tier.Get(k); !ok || got.Key != k {
 		t.Fatal("local round trip through inert tier failed")
 	}
 	if st := n.tier.Stats(); st.Puts != 0 || st.Hits != 0 {
@@ -164,7 +166,7 @@ func TestRemoteHitVerifiedAndPromoted(t *testing.T) {
 	if err := a.cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := b.tier.Get(SpaceUnit, k)
+	got, ok := b.tier.Get(k)
 	if !ok || string(got.Report) != string(e.Report) || got.Sum != e.Sum {
 		t.Fatalf("remote hit: ok=%v entry=%+v", ok, got)
 	}
@@ -172,7 +174,7 @@ func TestRemoteHitVerifiedAndPromoted(t *testing.T) {
 		t.Fatalf("stats after verified hit: %+v", st)
 	}
 	// Promoted: a second Get is served locally, no new remote hit.
-	if _, ok := b.tier.Get(SpaceUnit, k); !ok {
+	if _, ok := b.tier.Get(k); !ok {
 		t.Fatal("promoted entry missing")
 	}
 	if st := b.tier.Stats(); st.Hits != 1 {
@@ -191,7 +193,7 @@ func TestRottedEntryRefusedAsMiss(t *testing.T) {
 	if err := a.cache.Put(rot); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.tier.Get(SpaceUnit, k); ok {
+	if _, ok := b.tier.Get(k); ok {
 		t.Fatal("rotted remote entry was accepted")
 	}
 	st := b.tier.Stats()
@@ -213,7 +215,7 @@ func TestReplicationAndReadRepair(t *testing.T) {
 	if err := b.cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.tier.Get(SpaceUnit, k); !ok {
+	if _, ok := c.tier.Get(k); !ok {
 		t.Fatal("second replica should have answered")
 	}
 	st := c.tier.Stats()
@@ -228,7 +230,7 @@ func TestReplicationAndReadRepair(t *testing.T) {
 	// different key than the read-repair one).
 	k2 := keyWithOwners(t, c, b.addr, a.addr)
 	e2 := mkEntry(k2, `{"warnings":["x"]}`)
-	if err := c.tier.Put(SpaceUnit, e2); err != nil {
+	if err := c.tier.Put(e2); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := a.cache.Get(k2); !ok {
@@ -256,13 +258,13 @@ func TestEpochFencing(t *testing.T) {
 
 	// Serve side: a sender with an older epoch is refused (zombie fencing);
 	// a newer one is served.
-	if _, _, stale := n.tier.ServeGet(SpaceUnit, key64("aa"), 4); !stale {
+	if _, _, stale := n.tier.ServeGet(key64("aa"), 4); !stale {
 		t.Fatal("older sender epoch not refused")
 	}
-	if _, _, stale := n.tier.ServeGet(SpaceUnit, key64("aa"), 6); stale {
+	if _, _, stale := n.tier.ServeGet(key64("aa"), 6); stale {
 		t.Fatal("newer sender epoch refused")
 	}
-	if stale, _ := n.tier.ServePut(SpaceUnit, key64("aa"), []byte(`{}`), 3); !stale {
+	if stale, _ := n.tier.ServePut(key64("aa"), []byte(`{}`), 3); !stale {
 		t.Fatal("older sender put not refused")
 	}
 	if st := n.tier.Stats(); st.StaleRefusals != 2 {
@@ -276,18 +278,18 @@ func TestServePutRefusesRotAndSumless(t *testing.T) {
 
 	rot := mkEntry(k, `{"warnings":[]}`)
 	rot.Sum = "feedface"
-	if _, err := n.tier.ServePut(SpaceUnit, k, mustJSON(t, rot), 0); err == nil {
+	if _, err := n.tier.ServePut(k, mustJSON(t, rot), 0); err == nil {
 		t.Fatal("rotted replicated write accepted")
 	}
 	sumless := &rcache.Entry{Key: k, Report: []byte(`{"warnings":[]}`)}
-	if _, err := n.tier.ServePut(SpaceUnit, k, mustJSON(t, sumless), 0); err == nil {
+	if _, err := n.tier.ServePut(k, mustJSON(t, sumless), 0); err == nil {
 		t.Fatal("sumless replicated write accepted (replication wire always carries sums)")
 	}
 	if _, ok := n.cache.Get(k); ok {
 		t.Fatal("refused write reached the local cache")
 	}
 	good := mkEntry(k, `{"warnings":[]}`)
-	if _, err := n.tier.ServePut(SpaceUnit, k, mustJSON(t, good), 0); err != nil {
+	if _, err := n.tier.ServePut(k, mustJSON(t, good), 0); err != nil {
 		t.Fatalf("valid replicated write refused: %v", err)
 	}
 	if _, ok := n.cache.Get(k); !ok {
@@ -320,14 +322,14 @@ func TestHintedHandoffDrainsWhenPeerReturns(t *testing.T) {
 
 	k := key64("ba")
 	e := mkEntry(k, `{"warnings":["h"]}`)
-	writer.tier.Put(SpaceUnit, e)
+	writer.tier.Put(e)
 	st := writer.tier.Stats()
 	if st.HandoffQueued != 1 || st.HandoffPending != 1 {
 		t.Fatalf("write to dead peer must queue a hint, got %+v", st)
 	}
 
 	// Coalesce: a newer write of the same key replaces the queued hint.
-	writer.tier.Put(SpaceUnit, mkEntry(k, `{"warnings":["h2"]}`))
+	writer.tier.Put(mkEntry(k, `{"warnings":["h2"]}`))
 	if st := writer.tier.Stats(); st.HandoffQueued != 1 || st.HandoffPending != 1 {
 		t.Fatalf("same-key hint must coalesce, got %+v", st)
 	}
@@ -359,7 +361,7 @@ func TestHandoffByteBoundDropsOldest(t *testing.T) {
 	n := newNode(t, Options{BreakerThreshold: -1, HandoffMaxBytes: 600})
 	n.tier.Update(cluster.PeerMap{Epoch: 1, Peers: []string{n.addr, "127.0.0.1:1"}, Replicas: 2})
 	for i := 0; i < 10; i++ {
-		n.tier.ReplicateRemote(SpaceUnit, mkEntry(key64(fmt.Sprintf("%02x", i)), `{"warnings":["padpadpadpad"]}`))
+		n.tier.ReplicateRemote(mkEntry(key64(fmt.Sprintf("%02x", i)), `{"warnings":["padpadpadpad"]}`))
 	}
 	st := n.tier.Stats()
 	if st.HandoffDropped == 0 {
@@ -379,7 +381,7 @@ func TestBreakerSkipsDeadPeerAfterTrips(t *testing.T) {
 
 	k := key64("dd")
 	for i := 0; i < 4; i++ {
-		n.tier.Get(SpaceUnit, k)
+		n.tier.Get(k)
 	}
 	st := n.tier.Stats()
 	if st.BreakerTrips == 0 {
@@ -397,7 +399,7 @@ func TestUpdateDropsHintsOfRemovedPeers(t *testing.T) {
 	n := newNode(t, Options{BreakerThreshold: -1})
 	gone := "127.0.0.1:1"
 	n.tier.Update(cluster.PeerMap{Epoch: 1, Peers: []string{n.addr, gone}, Replicas: 2})
-	n.tier.ReplicateRemote(SpaceUnit, mkEntry(key64("aa"), `{"w":1}`))
+	n.tier.ReplicateRemote(mkEntry(key64("aa"), `{"w":1}`))
 	if st := n.tier.Stats(); st.HandoffPending != 1 {
 		t.Fatalf("setup: want 1 pending hint, got %+v", st)
 	}
@@ -408,36 +410,47 @@ func TestUpdateDropsHintsOfRemovedPeers(t *testing.T) {
 	}
 }
 
-func TestIncrSpaceSharesTheWire(t *testing.T) {
+// TestMemoRecordsShareTheOneStore: the tier has one key space. A memo
+// record put through node a's tier lands in a's one cache, replicates into
+// b's, and b's memo finds it; a replicated write from an older peer that
+// still names a "space" lands in the same store.
+func TestMemoRecordsShareTheOneStore(t *testing.T) {
 	a := newNode(t, Options{})
 	b := newNode(t, Options{})
-	incrA, err := rcache.Open(rcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	incrB, err := rcache.Open(rcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.tier.Register(SpaceIncr, incrA)
-	b.tier.Register(SpaceIncr, incrB)
 	mesh(1, 2, a, b)
+	memoA := incr.Open(incr.Options{Backing: a.tier})
+	memoB := incr.Open(incr.Options{Backing: b.tier})
 
 	k := key64("fe")
-	e := mkEntry(k, `{"funcs":{}}`)
-	if err := a.tier.Put(SpaceIncr, e); err != nil {
+	fp := &paths.FuncPaths{Fn: "f", Signature: "f()"}
+	memoA.PutFunc(k, "u.c", "f", "fp1", fp)
+	if _, ok := a.cache.Peek(k); !ok {
+		t.Fatal("memo record missing from the writer's cache")
+	}
+	if _, ok := b.cache.Peek(k); !ok {
+		t.Fatal("memo record not replicated into the peer's cache")
+	}
+	if got := memoB.GetFunc(k, "u.c", "f", "fp1"); got == nil || got.Fn != "f" {
+		t.Fatalf("peer memo lookup = %+v, want the record a stored", got)
+	}
+
+	k2 := key64("fd")
+	frame, err := cluster.EncodeFrame(cluster.FramePeerPut, map[string]any{
+		"key": k2, "space": "incr", "entry": json.RawMessage(mustJSON(t, mkEntry(k2, `{"funcs":{}}`))), "epoch": 1,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The entry landed in a's incr cache and replicated into b's — not into
-	// either unit cache.
-	if _, ok := b.tier.Get(SpaceIncr, k); !ok {
-		t.Fatal("incr entry not shared across the tier")
+	resp, err := http.Post(b.srv.URL+PutPath, "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := a.cache.Get(k); ok {
-		t.Fatal("incr entry leaked into the unit space")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("put naming a space: status %d", resp.StatusCode)
 	}
-	if _, ok := b.cache.Get(k); ok {
-		t.Fatal("incr entry leaked into the remote unit space")
+	if _, ok := b.cache.Peek(k2); !ok {
+		t.Fatal("put naming a space did not land in the one store")
 	}
 }
 
@@ -450,12 +463,12 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// captureTier is an incr.SharedTier that records the last entry put.
+// captureTier is an incr.Backing that records the last entry put.
 type captureTier struct{ last *rcache.Entry }
 
-func (c *captureTier) Register(string, *rcache.Cache)           {}
-func (c *captureTier) Get(string, string) (*rcache.Entry, bool) { return nil, false }
-func (c *captureTier) Put(_ string, e *rcache.Entry) error      { c.last = e; return nil }
+func (c *captureTier) Get(string) (*rcache.Entry, bool)  { return nil, false }
+func (c *captureTier) Peek(string) (*rcache.Entry, bool) { return nil, false }
+func (c *captureTier) Put(e *rcache.Entry) error         { c.last = e; return nil }
 
 // TestVerifyEntryIncrUnitRecord: a memo unit verdict — one JSON record in
 // Report, no path database — crosses the wire intact under the end-to-end
@@ -463,10 +476,7 @@ func (c *captureTier) Put(_ string, e *rcache.Entry) error      { c.last = e; re
 // rot.
 func TestVerifyEntryIncrUnitRecord(t *testing.T) {
 	ct := &captureTier{}
-	st, err := incr.Open(incr.Options{Registry: metrics.NewRegistry(), Shared: ct})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := incr.Open(incr.Options{Registry: metrics.NewRegistry(), Backing: ct})
 	key := key64("ab")
 	st.PutUnit(key, &incr.UnitRecord{Unit: "u.c", Fingerprint: "ufp", Report: json.RawMessage(`{"unit":"u.c"}`)})
 	if ct.last == nil {
@@ -517,7 +527,7 @@ func TestHandoffDrainedCountsEachHintOnce(t *testing.T) {
 			// A newer write of the same key lands while this delivery is in
 			// flight: the queued head is replaced, not delivered.
 			b := mustJSON(t, mkEntry(k, `{"warnings":["new"]}`))
-			writer.tier.enqueueHint(strings.TrimPrefix(p.URL, "http://"), &hint{space: SpaceUnit, key: k, entry: b})
+			writer.tier.enqueueHint(strings.TrimPrefix(p.URL, "http://"), &hint{key: k, entry: b})
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -525,7 +535,7 @@ func TestHandoffDrainedCountsEachHintOnce(t *testing.T) {
 	peerAddr := strings.TrimPrefix(p.URL, "http://")
 	writer.tier.Update(cluster.PeerMap{Epoch: 1, Peers: []string{writer.addr, peerAddr}, Replicas: 2})
 
-	writer.tier.ReplicateRemote(SpaceUnit, mkEntry(k, `{"warnings":["old"]}`))
+	writer.tier.ReplicateRemote(mkEntry(k, `{"warnings":["old"]}`))
 	if st := writer.tier.Stats(); st.HandoffPending != 1 {
 		t.Fatalf("setup: want 1 pending hint, got %+v", st)
 	}
@@ -550,7 +560,7 @@ func TestBreakerTripsSurvivePeerRemoval(t *testing.T) {
 	n := newNode(t, Options{BreakerThreshold: 2, BreakerCooldown: time.Hour, OpTimeout: 50 * time.Millisecond, Registry: reg})
 	n.tier.Update(cluster.PeerMap{Epoch: 1, Peers: []string{n.addr, "127.0.0.1:1"}, Replicas: 2})
 	for i := 0; i < 4; i++ {
-		n.tier.Get(SpaceUnit, key64("de"))
+		n.tier.Get(key64("de"))
 	}
 	trips := n.tier.Stats().BreakerTrips
 	if trips == 0 {

@@ -6,7 +6,12 @@
 // configuration — see pallas.ContentHash / Analyzer.CacheKey), so an
 // identical request is answered byte-identically without re-analysis.
 //
-// A cache has up to two tiers:
+// A process keeps one cache: the incremental memo (internal/incr) stores
+// its function records and unit verdicts in it too, under keys framed apart
+// from these content hashes, so one byte budget, one directory and one peer
+// key space cover both.
+//
+// A cache has up to two tiers, each bounded by the same MaxBytes:
 //
 //   - a memory tier: an LRU bounded by total entry bytes, always present;
 //   - a persistent tier: one JSON file per entry under a directory,
@@ -110,12 +115,14 @@ func (e *Entry) size() int64 {
 
 // Options configures Open.
 type Options struct {
-	// MaxBytes bounds the memory tier by total entry bytes; <= 0 means
+	// MaxBytes bounds the cache: the memory tier by total entry bytes, the
+	// persistent tier by total file bytes (see PruneOldest). <= 0 means
 	// DefaultMaxBytes. A single entry larger than the bound is still cached
 	// (and immediately becomes the only resident entry).
 	MaxBytes int64
 	// Dir, when non-empty, enables the persistent tier rooted at this
 	// directory (created if missing). Entries live at Dir/<k0k1>/<key>.json.
+	// A directory that already outgrows MaxBytes is trimmed on Open.
 	Dir string
 	// BreakerThreshold trips the persistent tier's circuit breaker after
 	// this many consecutive disk faults: the cache falls back to
@@ -132,7 +139,7 @@ type Options struct {
 	Registry *metrics.Registry
 }
 
-// DefaultMaxBytes is the default memory-tier bound (64 MiB).
+// DefaultMaxBytes is the default bound of each tier (64 MiB).
 const DefaultMaxBytes = 64 << 20
 
 // Stats is a point-in-time snapshot of cache activity: the registry
@@ -165,6 +172,9 @@ type Stats struct {
 	// oldest persistent entries were pruned, and the write was retried. A
 	// full disk degrades to a smaller cache instead of tripping the breaker.
 	DiskFullPrunes int64
+	// Pruned counts persistent-tier files removed to hold MaxBytes (stale
+	// temp files of crashed writes included).
+	Pruned int64
 	// BreakerSkips counts persistent-tier operations skipped because the
 	// circuit breaker was open (memory-only mode).
 	BreakerSkips int64
@@ -194,9 +204,14 @@ type Cache struct {
 	byKey  map[string]*list.Element
 	bytes  int64
 	flight map[string]*call
+	// Disk bytes written since the last byte-bound prune, and whether one
+	// is running (c.mu guards both).
+	written int64
+	pruning bool
 
 	mHits, mMisses, mMemHits, mDiskHits, mShared, mComputes *metrics.Counter
 	mEvictions, mDiskFaults, mDiskFullPrunes, mBreakerSkips *metrics.Counter
+	mPruned                                                 *metrics.Counter
 }
 
 // Open returns a cache with the given options, creating the persistent
@@ -218,7 +233,7 @@ func Open(opts Options) (*Cache, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Cache{
+	c := &Cache{
 		dir:      opts.Dir,
 		maxBytes: opts.MaxBytes,
 		breaker:  breaker,
@@ -236,7 +251,12 @@ func Open(opts Options) (*Cache, error) {
 		mDiskFaults:     reg.Counter(metrics.MetricCacheDiskFaults, "result-cache persistent-tier I/O failures"),
 		mDiskFullPrunes: reg.Counter(metrics.MetricCacheDiskFullPrunes, "result-cache full-disk recoveries: oldest entries pruned, write retried"),
 		mBreakerSkips:   reg.Counter(metrics.MetricCacheBreakerSkips, "result-cache persistent-tier operations skipped while its breaker was open"),
-	}, nil
+		mPruned:         reg.Counter(metrics.MetricCachePruned, "result-cache persistent-tier files pruned to hold the byte bound"),
+	}
+	// A directory may already exceed the bound (a previous run with a
+	// larger budget); trim it before serving.
+	c.mPruned.Add(int64(c.PruneOldest(c.diskBound)))
+	return c, nil
 }
 
 // TierHealth reports the persistent tier's condition for health endpoints:
@@ -311,9 +331,7 @@ func (c *Cache) Peek(key string) (*Entry, bool) {
 // tier counter (MemHits or DiskHits) its hit belongs to, or nil.
 func (c *Cache) lookup(key string) (*Entry, *metrics.Counter) {
 	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*Entry)
+	if e := c.memLocked(key); e != nil {
 		c.mu.Unlock()
 		return e, c.mMemHits
 	}
@@ -369,6 +387,14 @@ func (c *Cache) GetOrCompute(key string, fn func() (*Entry, error)) (*Entry, boo
 		c.mHits.Inc()
 		return cl.entry, true, nil
 	}
+	// A leader may have finished between the lookup and the lock: its entry
+	// is in memory now, and computing it again would double the analysis.
+	if e := c.memLocked(key); e != nil {
+		c.mu.Unlock()
+		c.mHits.Inc()
+		c.mMemHits.Inc()
+		return e, true, nil
+	}
 	// Leader: compute, publish, wake the followers.
 	cl := &call{}
 	cl.wg.Add(1)
@@ -395,6 +421,17 @@ func (c *Cache) GetOrCompute(key string, fn func() (*Entry, error)) (*Entry, boo
 		return cl.entry, false, cl.err
 	}
 	return cl.entry, false, perr
+}
+
+// memLocked returns key's memory-tier entry, or nil, and refreshes its LRU
+// position. c.mu must be held.
+func (c *Cache) memLocked(key string) *Entry {
+	el, ok := c.byKey[key]
+	if !ok {
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*Entry)
 }
 
 // insertLocked adds or refreshes an entry in the memory tier and evicts
@@ -433,6 +470,7 @@ func (c *Cache) Stats() Stats {
 		DiskFaults:     c.mDiskFaults.Value(),
 		DiskFullPrunes: c.mDiskFullPrunes.Value(),
 		BreakerSkips:   c.mBreakerSkips.Value(),
+		Pruned:         c.mPruned.Value(),
 	}
 	c.mu.Lock()
 	s.Entries = c.lru.Len()
@@ -503,7 +541,7 @@ func (c *Cache) storeDisk(e *Entry) error {
 	if c.dir == "" || len(e.Key) < 3 || !c.diskAllowed() {
 		return nil
 	}
-	err := c.storeDiskRaw(e)
+	n, err := c.storeDiskRaw(e)
 	if err != nil && diskFull(err) {
 		// ENOSPC is capacity, not damage: prune the oldest quarter of the
 		// persistent tier's bytes once to make room and retry, so a full
@@ -512,7 +550,7 @@ func (c *Cache) storeDisk(e *Entry) error {
 		// a prune that freed nothing) counts as a fault.
 		if c.PruneOldest(diskFullTarget) > 0 {
 			c.mDiskFullPrunes.Inc()
-			err = c.storeDiskRaw(e)
+			n, err = c.storeDiskRaw(e)
 		}
 	}
 	if err != nil {
@@ -520,8 +558,34 @@ func (c *Cache) storeDisk(e *Entry) error {
 		return fmt.Errorf("%w: %w", ErrPersist, err)
 	}
 	c.diskOK()
+	c.noteWrite(int64(n))
 	return nil
 }
+
+// noteWrite runs a byte-bound prune once a quarter of MaxBytes landed on
+// disk since the last one. The trigger is approximate by design: the bound
+// is a budget, not a hard limit, and scanning the directory on every put
+// would dominate small writes.
+func (c *Cache) noteWrite(n int64) {
+	c.mu.Lock()
+	c.written += n
+	due := c.written > c.maxBytes/4 && !c.pruning
+	if due {
+		c.pruning = true
+		c.written = 0
+	}
+	c.mu.Unlock()
+	if due {
+		c.mPruned.Add(int64(c.PruneOldest(c.diskBound)))
+		c.mu.Lock()
+		c.pruning = false
+		c.mu.Unlock()
+	}
+}
+
+// diskBound is the byte-bound prune's target: whatever the persistent tier
+// holds, the oldest entries go until it fits MaxBytes.
+func (c *Cache) diskBound(int64) int64 { return c.maxBytes }
 
 // diskFull reports a write failure caused by a full filesystem. A var so
 // tests can widen it to injected faults without filling a real disk.
@@ -592,36 +656,37 @@ func (c *Cache) PruneOldest(target func(total int64) int64) int {
 	return removed
 }
 
-func (c *Cache) storeDiskRaw(e *Entry) error {
+// storeDiskRaw writes one entry file and returns its size.
+func (c *Cache) storeDiskRaw(e *Entry) (int, error) {
 	if err := failpoint.Hit(failpoint.CacheStore, e.Key); err != nil {
-		return err
+		return 0, err
 	}
 	path := c.diskPath(e.Key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("rcache: store: %w", err)
+		return 0, fmt.Errorf("rcache: store: %w", err)
 	}
 	b, err := json.Marshal(e)
 	if err != nil {
-		return fmt.Errorf("rcache: store %s: %w", e.Key, err)
+		return 0, fmt.Errorf("rcache: store %s: %w", e.Key, err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("rcache: store: %w", err)
+		return 0, fmt.Errorf("rcache: store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
 	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
-		return fmt.Errorf("rcache: store: %w", err)
+		return 0, fmt.Errorf("rcache: store: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("rcache: store: %w", err)
+		return 0, fmt.Errorf("rcache: store: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("rcache: store: %w", err)
+		return 0, fmt.Errorf("rcache: store: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("rcache: store: %w", err)
+		return 0, fmt.Errorf("rcache: store: %w", err)
 	}
-	return nil
+	return len(b), nil
 }

@@ -341,3 +341,46 @@ func TestGetOrComputeRace(t *testing.T) {
 		t.Fatalf("computes = %d, want %d (one per distinct key)", got, keys)
 	}
 }
+
+// diskBytes sums the entry files under dir.
+func diskBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var total int64
+	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Ext(path) == ".json" {
+			if info, ierr := d.Info(); ierr == nil {
+				total += info.Size()
+			}
+		}
+		return nil
+	})
+	return total
+}
+
+// TestDiskTierHoldsItsBudget: MaxBytes bounds the persistent tier as well
+// as the memory tier. Writing ten budgets' worth of entries leaves at most
+// the budget plus one prune trigger's slack (a quarter of it) on disk, and
+// the prunes are counted.
+func TestDiskTierHoldsItsBudget(t *testing.T) {
+	const maxBytes = 64 << 10
+	dir := t.TempDir()
+	c, err := Open(Options{Dir: dir, MaxBytes: maxBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("p", 3<<10)
+	var written int64
+	for i := 0; written < 10*maxBytes; i++ {
+		e := entry(key64(fmt.Sprintf("%04x", i)), "u.c", `{"pad":"`+pad+`"}`)
+		if err := c.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		written += int64(len(e.Report))
+	}
+	if got := diskBytes(t, dir); got > maxBytes+maxBytes/4 {
+		t.Fatalf("disk tier holds %d bytes after %d written, budget %d", got, written, maxBytes)
+	}
+	if c.Stats().Pruned == 0 {
+		t.Fatal("pallas_cache_pruned_total stayed 0")
+	}
+}

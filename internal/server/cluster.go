@@ -23,7 +23,6 @@ import (
 	"pallas/internal/failpoint"
 	"pallas/internal/guard"
 	"pallas/internal/rcache"
-	"pallas/internal/rcache/peer"
 )
 
 // dropConn abandons an HTTP exchange mid-flight by hijacking and closing
@@ -212,7 +211,7 @@ func (s *Server) clusterEntry(r *http.Request, unit pallas.Unit) (*rcache.Entry,
 	if perr := s.cache.Put(upgraded); perr != nil && !errors.Is(perr, rcache.ErrPersist) {
 		return nil, false, perr
 	}
-	s.peers.ReplicateRemote(peer.SpaceUnit, upgraded)
+	s.peers.ReplicateRemote(upgraded)
 	return upgraded, false, nil
 }
 

@@ -94,6 +94,7 @@ var snapshotFields = map[string][2]string{
 	"pallas_cache_disk_faults_total":         {"cache", "DiskFaults"},
 	"pallas_cache_disk_full_prunes_total":    {"cache", "DiskFullPrunes"},
 	"pallas_cache_breaker_skips_total":       {"cache", "BreakerSkips"},
+	"pallas_cache_pruned_total":              {"cache", "Pruned"},
 	"pallas_shed_queue_full_total":           {"shed", "queue_full"},
 	"pallas_shed_deadline_total":             {"shed", "deadline"},
 	"pallas_shed_draining_total":             {"shed", "draining"},
@@ -106,7 +107,6 @@ var snapshotFields = map[string][2]string{
 	"pallas_incr_func_invalidations_total":   {"incr", "FuncInvalidations"},
 	"pallas_incr_unit_hits_total":            {"incr", "UnitHits"},
 	"pallas_incr_unit_misses_total":          {"incr", "UnitMisses"},
-	"pallas_incr_pruned_total":               {"incr", "Pruned"},
 	"pallas_peer_hits_total":                 {"peer_cache", "Hits"},
 	"pallas_peer_misses_total":               {"peer_cache", "Misses"},
 	"pallas_peer_rot_refusals_total":         {"peer_cache", "RotRefusals"},
@@ -170,17 +170,17 @@ func assertAgreement(t *testing.T, label string, h http.Handler) {
 // shed, feasibility, memo and peer counts on /metrics as in
 // /healthz?verbose=1 — both after fresh analyses, a failing analysis and a
 // refusal while draining, and after a memo replay in a fresh server on the
-// same memo directory.
+// same cache directory.
 func TestMetricsAgreeWithHealthz(t *testing.T) {
 	dir := t.TempDir()
-	strict := pallas.Config{Precision: "strict", Incremental: &pallas.IncrementalOptions{Dir: dir}}
+	strict := pallas.Config{Precision: "strict", Incremental: &pallas.IncrementalOptions{}}
 
 	peerSrv := newTestServer(t, Config{Analyzer: pallas.Config{Precision: "strict", Incremental: &pallas.IncrementalOptions{}}})
 	defer peerSrv.Close()
 	peerTS := httptest.NewServer(peerSrv.Handler())
 	defer peerTS.Close()
 
-	s1, err := New(Config{Analyzer: strict, Metrics: metrics.NewRegistry()})
+	s1, err := New(Config{Analyzer: strict, CacheDir: dir, Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +215,15 @@ func TestMetricsAgreeWithHealthz(t *testing.T) {
 		t.Errorf("want %d cache misses (one failed) and one draining refusal: %v", len(cases)+1, expo)
 	}
 
-	// A fresh server on the same memo directory replays the whole verdict.
-	s2, err := New(Config{Analyzer: strict, Metrics: metrics.NewRegistry()})
+	// A fresh server on the same cache directory replays the whole verdict
+	// from the memo: a trailing comment misses the result cache but leaves
+	// the unit fingerprint as it was.
+	s2, err := New(Config{Analyzer: strict, CacheDir: dir, Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if code := analyze(t, s2.Handler(), "feas0.c", cases[0].Source, cases[0].Spec); code != http.StatusOK {
+	if code := analyze(t, s2.Handler(), "feas0.c", cases[0].Source+"\n/* edit */\n", cases[0].Spec); code != http.StatusOK {
 		t.Fatalf("replay analyze: status %d", code)
 	}
 	expo = exposition(t, s2.Handler())

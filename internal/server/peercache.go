@@ -69,7 +69,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	entry, found, stale := s.peers.ServeGet(get.Space, get.Key, get.Epoch)
+	entry, found, stale := s.peers.ServeGet(get.Key, get.Epoch)
 	if stale {
 		s.fail(w, http.StatusConflict, "stale peer epoch %d (ours is %d)", get.Epoch, s.peers.Epoch())
 		return
@@ -140,13 +140,13 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	stale, err := s.peers.ServePut(put.Space, put.Key, put.Entry, put.Epoch)
+	stale, err := s.peers.ServePut(put.Key, put.Entry, put.Epoch)
 	if stale {
 		s.fail(w, http.StatusConflict, "stale peer epoch %d (ours is %d)", put.Epoch, s.peers.Epoch())
 		return
 	}
 	if err != nil {
-		// A refused entry (rot, unknown space) is the sender's problem; the
+		// A refused entry (rot) is the sender's problem; the
 		// refusal itself worked.
 		s.fail(w, http.StatusBadRequest, "put refused: %v", err)
 		return

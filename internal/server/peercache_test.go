@@ -74,7 +74,7 @@ func TestPeerEndpointsServeVerifiedRemoteHit(t *testing.T) {
 	if err := a.s.Cache().Put(peerEntry(k)); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := b.s.PeerTier().Get(peer.SpaceUnit, k)
+	got, ok := b.s.PeerTier().Get(k)
 	if !ok || got.Key != k {
 		t.Fatalf("remote hit through the real endpoints: ok=%v", ok)
 	}
@@ -84,7 +84,7 @@ func TestPeerEndpointsServeVerifiedRemoteHit(t *testing.T) {
 
 	// And the reverse direction: a replicated put lands in the peer's cache.
 	k2 := peerKey("bb")
-	if err := b.s.PeerTier().Put(peer.SpaceUnit, peerEntry(k2)); err != nil {
+	if err := b.s.PeerTier().Put(peerEntry(k2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := a.s.Cache().Get(k2); !ok {
@@ -107,7 +107,7 @@ func TestPeerServeCorruptionRefusedByContentSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer failpoint.Disarm()
-	if _, ok := b.s.PeerTier().Get(peer.SpaceUnit, k); ok {
+	if _, ok := b.s.PeerTier().Get(k); ok {
 		t.Fatal("corrupted remote entry was accepted")
 	}
 	st := b.s.PeerTier().Stats()
@@ -115,7 +115,7 @@ func TestPeerServeCorruptionRefusedByContentSum(t *testing.T) {
 		t.Fatalf("corruption must count a rot refusal, got %+v", st)
 	}
 	// With the failpoint spent, the same lookup heals.
-	if _, ok := b.s.PeerTier().Get(peer.SpaceUnit, k); !ok {
+	if _, ok := b.s.PeerTier().Get(k); !ok {
 		t.Fatal("lookup after the one-shot corruption should hit")
 	}
 }
@@ -134,7 +134,7 @@ func TestPeerEndpointsFenceStaleEpochs(t *testing.T) {
 	resp.Body.Close()
 
 	get, _ := cluster.EncodeFrame(cluster.FramePeerGet, cluster.PeerGetPayload{
-		Key: peerKey("dd"), Space: peer.SpaceUnit, Epoch: 1,
+		Key: peerKey("dd"), Epoch: 1,
 	})
 	r1, err := http.Post(a.ts.URL+peer.GetPath, "application/octet-stream", bytes.NewReader(get))
 	if err != nil {
@@ -148,7 +148,7 @@ func TestPeerEndpointsFenceStaleEpochs(t *testing.T) {
 
 	entry, _ := json.Marshal(peerEntry(peerKey("dd")))
 	put, _ := cluster.EncodeFrame(cluster.FramePeerPut, cluster.PeerPutPayload{
-		Key: peerKey("dd"), Space: peer.SpaceUnit, Entry: entry, Epoch: 1,
+		Key: peerKey("dd"), Entry: entry, Epoch: 1,
 	})
 	r2, err := http.Post(a.ts.URL+peer.PutPath, "application/octet-stream", bytes.NewReader(put))
 	if err != nil {
@@ -205,7 +205,7 @@ func TestPeerEndpointsMapFrameErrorsToStatus(t *testing.T) {
 	// Wrong frame type (a put frame on the get endpoint) → 400.
 	entry, _ := json.Marshal(peerEntry(peerKey("ee")))
 	put, _ := cluster.EncodeFrame(cluster.FramePeerPut, cluster.PeerPutPayload{
-		Key: peerKey("ee"), Space: peer.SpaceUnit, Entry: entry,
+		Key: peerKey("ee"), Entry: entry,
 	})
 	if code := post(peer.GetPath, put); code != http.StatusBadRequest {
 		t.Fatalf("wrong type: status %d, want 400", code)
@@ -220,14 +220,14 @@ func TestPeerEndpointsMapFrameErrorsToStatus(t *testing.T) {
 	}
 	// Corrupted payload (frame CRC mismatch) → 400.
 	get, _ := cluster.EncodeFrame(cluster.FramePeerGet, cluster.PeerGetPayload{
-		Key: peerKey("ee"), Space: peer.SpaceUnit,
+		Key: peerKey("ee"),
 	})
 	get[len(get)-1] ^= 0xff
 	if code := post(peer.GetPath, get); code != http.StatusBadRequest {
 		t.Fatalf("checksum: status %d, want 400", code)
 	}
 	// Missing key → 400.
-	empty, _ := cluster.EncodeFrame(cluster.FramePeerGet, cluster.PeerGetPayload{Space: peer.SpaceUnit})
+	empty, _ := cluster.EncodeFrame(cluster.FramePeerGet, cluster.PeerGetPayload{})
 	if code := post(peer.GetPath, empty); code != http.StatusBadRequest {
 		t.Fatalf("empty key: status %d, want 400", code)
 	}
@@ -236,7 +236,7 @@ func TestPeerEndpointsMapFrameErrorsToStatus(t *testing.T) {
 	rot.Sum = "deadbeef"
 	rotBytes, _ := json.Marshal(rot)
 	rotPut, _ := cluster.EncodeFrame(cluster.FramePeerPut, cluster.PeerPutPayload{
-		Key: rot.Key, Space: peer.SpaceUnit, Entry: rotBytes,
+		Key: rot.Key, Entry: rotBytes,
 	})
 	if code := post(peer.PutPath, rotPut); code != http.StatusBadRequest {
 		t.Fatalf("rotted put: status %d, want 400", code)
@@ -257,7 +257,7 @@ func TestPeerEndpointsShedWhileDraining(t *testing.T) {
 	a.s.StartDrain()
 	// The requester sees 503 (fetchRefused) and degrades to a miss — no hang,
 	// no error surfaced.
-	if _, ok := b.s.PeerTier().Get(peer.SpaceUnit, k); ok {
+	if _, ok := b.s.PeerTier().Get(k); ok {
 		t.Fatal("draining peer must shed, not serve")
 	}
 	if st := b.s.PeerTier().Stats(); st.Misses != 1 || st.Timeouts != 0 {
@@ -273,7 +273,7 @@ func TestHealthzVerboseReportsPeerTier(t *testing.T) {
 	if err := a.s.Cache().Put(peerEntry(k)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.s.PeerTier().Get(peer.SpaceUnit, k); !ok {
+	if _, ok := b.s.PeerTier().Get(k); !ok {
 		t.Fatal("seed hit failed")
 	}
 	resp, err := http.Get(b.ts.URL + "/healthz?verbose=1")

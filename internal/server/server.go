@@ -139,11 +139,13 @@ type Config struct {
 	// GlobalRate and GlobalBurst configure the server-wide bucket.
 	GlobalRate  float64
 	GlobalBurst float64
-	// CacheBytes bounds the result cache's memory tier (<= 0: rcache
-	// default).
+	// CacheBytes bounds the result cache — its memory tier and its
+	// directory alike, memo records included (<= 0: rcache default).
 	CacheBytes int64
 	// CacheDir, when non-empty, adds the persistent cache tier shared with
-	// `pallas check -cache-dir`.
+	// `pallas check -cache-dir`. With Analyzer.Incremental set, the memo
+	// keeps its records in this cache (through the peer tier), and the
+	// IncrementalOptions' own Dir and MaxBytes are unused.
 	CacheDir string
 	// BreakerThreshold and BreakerCooldown configure the persistent tier's
 	// circuit breaker (see rcache.Options); 0 means defaults, negative
@@ -249,7 +251,8 @@ func New(cfg Config) (*Server, error) {
 	// The shared cache tier exists unconditionally — with no peers it is
 	// inert (every op short-circuits to the local cache), which is also its
 	// degraded mode under a full partition, so the two paths stay one code
-	// path. The function memo rides the same tier as its own key space.
+	// path. The function memo keeps its records in the same cache, through
+	// the tier.
 	tier := peer.New(cache, peer.Options{
 		Self:      cfg.CacheSelf,
 		Replicas:  cfg.CacheReplicas,
@@ -258,16 +261,9 @@ func New(cfg Config) (*Server, error) {
 	})
 	acfg := cfg.Analyzer
 	if acfg.Incremental != nil {
-		inc := *acfg.Incremental
-		inc.Shared = tier
-		acfg.Incremental = &inc
+		acfg.Incremental = &pallas.IncrementalOptions{Backing: tier}
 	}
 	analyzer := pallas.New(acfg)
-	// An unusable -incr-dir should fail startup, not silently serve cold.
-	if err := analyzer.EnsureIncremental(); err != nil {
-		tier.Close()
-		return nil, err
-	}
 	// An unknown precision tier would otherwise fail every request.
 	feasTier, err := feas.ParseTier(cfg.Analyzer.Precision)
 	if err != nil {
@@ -632,7 +628,7 @@ func (s *Server) analyzeOne(ctx context.Context, unit pallas.Unit, key string) (
 // it freshly produced to the key's ring owners. Every remote failure mode
 // degrades to the local analysis below it.
 func (s *Server) computeUnit(ctx context.Context, unit pallas.Unit, key string, withPaths bool) (*rcache.Entry, error) {
-	if e, ok := s.peers.FetchRemote(peer.SpaceUnit, key); ok {
+	if e, ok := s.peers.FetchRemote(key); ok {
 		if !withPaths || len(e.Paths) > 0 {
 			return e, nil
 		}
@@ -643,7 +639,7 @@ func (s *Server) computeUnit(ctx context.Context, unit pallas.Unit, key string, 
 	if err != nil {
 		return nil, err
 	}
-	s.peers.ReplicateRemote(peer.SpaceUnit, e)
+	s.peers.ReplicateRemote(e)
 	return e, nil
 }
 

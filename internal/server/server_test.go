@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pallas"
 	"pallas/internal/failpoint"
 	"pallas/internal/metrics"
 )
@@ -396,5 +397,56 @@ func TestServeHealthz(t *testing.T) {
 	}
 	if h.Status != "ok" || h.Workers != 3 || h.InFlight != 0 {
 		t.Fatalf("healthz = %+v", h)
+	}
+}
+
+// TestServerMemoSharesTheResultCache: a server keeps one cache. With the
+// memo on, one analysis stores its result entry, one function record and
+// one unit verdict, all in Server.Cache; the memo's lookups leave the
+// cache's hit and miss counters to result lookups.
+func TestServerMemoSharesTheResultCache(t *testing.T) {
+	s := newTestServer(t, Config{Analyzer: pallas.Config{Incremental: &pallas.IncrementalOptions{}}})
+	defer s.Close()
+	if code := analyze(t, s.Handler(), "one.c", testSource, testSpec); code != http.StatusOK {
+		t.Fatalf("analyze: status %d", code)
+	}
+	cs := s.Cache().Stats()
+	if cs.Entries != 3 {
+		t.Fatalf("cache holds %d entries, want 3 (result, function record, unit verdict)", cs.Entries)
+	}
+	if cs.Hits != 0 || cs.Misses != 1 {
+		t.Fatalf("cache lookups = %d hit(s), %d miss(es); want the one result lookup", cs.Hits, cs.Misses)
+	}
+	if is, ok := s.IncrStats(); !ok || is.FuncMisses != 1 || is.UnitMisses != 1 {
+		t.Fatalf("memo stats = %+v, want one function and one unit miss", is)
+	}
+}
+
+// TestMemoWriteFaultsAreServerFaults: memo records are written through the
+// server's cache, so with its disk failing they count in
+// pallas_cache_disk_faults_total next to the result write, and the
+// server's breaker settings govern them (disabled here: the tier stays
+// closed).
+func TestMemoWriteFaultsAreServerFaults(t *testing.T) {
+	if err := failpoint.Arm("cache-store=error"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disarm()
+
+	s := newTestServer(t, Config{
+		Analyzer: pallas.Config{Incremental: &pallas.IncrementalOptions{}},
+		CacheDir: t.TempDir(), BreakerThreshold: -1,
+	})
+	defer s.Close()
+	if code := analyze(t, s.Handler(), "one.c", testSource, testSpec); code != http.StatusOK {
+		t.Fatalf("analyze: status %d", code)
+	}
+	expo := exposition(t, s.Handler())
+	// One result write and two memo writes (function record, unit verdict).
+	if got := expo[metrics.MetricCacheDiskFaults]; got != 3 || expo[MetricPersistFaults] != 1 {
+		t.Fatalf("disk faults = %d, persist faults = %d; want 3 and 1", got, expo[MetricPersistFaults])
+	}
+	if tier := s.Snapshot().CacheTier; tier != "closed" {
+		t.Fatalf("cache tier = %q, want closed with the breaker disabled", tier)
 	}
 }
