@@ -176,3 +176,52 @@ func TestAnalyzeIncrBenchArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkIncrReplayReadsPaths measures what a function record saves on
+// one 8-function genIncrUnit unit whose path database is read
+// (res.Paths.MarshalJSON) after each analysis:
+//
+//   - cold: no memo, every function extracted;
+//   - warm-miss: the unit's verdict misses (a new unit name each time) and
+//     every function replays its record;
+//   - replay-read: the verdict replays, and reading its paths runs the
+//     lazy fill seeded with the records.
+//
+// The memo pays off only while warm-miss and replay-read cost less than cold.
+func BenchmarkIncrReplayReadsPaths(b *testing.B) {
+	src, spec := genIncrUnit(0, 8, 5)
+	read := func(b *testing.B, a *pallas.Analyzer, name string) {
+		res, err := a.AnalyzeSource(name, src, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := res.Paths.MarshalJSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	warm := func(b *testing.B) *pallas.Analyzer {
+		a := pallas.New(pallas.Config{Incremental: &pallas.IncrementalOptions{}})
+		read(b, a, "u.c")
+		return a
+	}
+	b.Run("cold", func(b *testing.B) {
+		a := pallas.New(pallas.Config{})
+		for i := 0; i < b.N; i++ {
+			read(b, a, "u.c")
+		}
+	})
+	b.Run("warm-miss", func(b *testing.B) {
+		a := warm(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read(b, a, fmt.Sprintf("u%d.c", i))
+		}
+	})
+	b.Run("replay-read", func(b *testing.B) {
+		a := warm(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read(b, a, "u.c")
+		}
+	})
+}

@@ -169,13 +169,18 @@ func (db *DB) Put(fp *paths.FuncPaths) {
 func (db *DB) AddDiagnostic(d guard.Diagnostic) { db.Diagnostics = append(db.Diagnostics, d) }
 
 // Entries returns the function name → extraction result map. Callers must
-// not modify it.
+// not modify it, nor the paths its entries reach: with the incremental memo
+// on, those are shared with the memo's live records and every other
+// analysis that replays them.
 func (db *DB) Entries() map[string]*Entry { return db.entryMap() }
 
-// Get returns the entry for a function, or nil.
+// Get returns the entry for a function, or nil. The entry and its paths
+// are read-only (see Entries).
 func (db *DB) Get(fn string) *Entry { return db.entryMap()[fn] }
 
-// FuncPaths reconstructs a paths.FuncPaths view of an entry, or nil.
+// FuncPaths reconstructs a paths.FuncPaths view of an entry, or nil. The
+// view is new, but its paths are the entry's and are read-only (see
+// Entries).
 func (db *DB) FuncPaths(fn string) *paths.FuncPaths {
 	e := db.Get(fn)
 	if e == nil {

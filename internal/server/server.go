@@ -704,7 +704,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "no cached report for %s", key)
 		return
 	}
-	writeJSON(w, http.StatusOK, entry)
+	wire, err := entry.Wire()
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, wire)
 }
 
 // healthBody is the /healthz payload.

@@ -16,7 +16,10 @@ import (
 
 	"pallas"
 	"pallas/internal/failpoint"
+	"pallas/internal/incr"
 	"pallas/internal/metrics"
+	"pallas/internal/paths"
+	"pallas/internal/rcache"
 )
 
 const testSource = `
@@ -234,6 +237,45 @@ func TestServeReportEndpoint(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("%s: status = %d, want %d", path, resp.StatusCode, want)
 		}
+	}
+}
+
+// TestServeReportEndpointMemoRecord: /v1/report serves a memo function
+// record, which the cache holds live, as its pinned encoding and sum.
+func TestServeReportEndpointMemoRecord(t *testing.T) {
+	s := newTestServer(t, Config{Analyzer: pallas.Config{Incremental: &pallas.IncrementalOptions{}}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	fp := &paths.FuncPaths{Fn: "fast", Signature: "fast(a)", Paths: []*paths.ExecPath{{
+		Fn: "fast", Signature: "fast(a)", Blocks: []int{0, 1},
+		Out: &paths.Output{Expr: "a", Sym: "a", Line: 3},
+	}}}
+	key := strings.Repeat("ab", 32)
+	incr.Open(incr.Options{Backing: incr.Local(s.Cache())}).PutFunc(key, "u.c", "fast", "fp1", fp)
+
+	resp, err := http.Get(ts.URL + "/v1/report/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report status = %d", resp.StatusCode)
+	}
+	var entry rcache.Entry
+	if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
+		t.Fatal(err)
+	}
+	var report bytes.Buffer
+	if err := json.Compact(&report, entry.Report); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&incr.FuncRecord{Version: incr.FuncRecordVersion, Fn: "fast", Fingerprint: "fp1", Paths: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// b452d7a8 is the sum TestIncrRecordFormatPinned pins for this record.
+	if !bytes.Equal(report.Bytes(), want) || entry.Sum != "b452d7a8" {
+		t.Fatalf("served report %s sum %s, want the pinned record", report.Bytes(), entry.Sum)
 	}
 }
 
