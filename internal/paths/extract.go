@@ -591,8 +591,9 @@ func refuteByExclusion(env *sym.Env, cond cast.Expr) (known bool, value bool) {
 func markChecked(p *ExecPath) {
 	for i := range p.Calls {
 		c := &p.Calls[i]
+		call := c.Name + "("
 		for _, cond := range p.Conds {
-			if strings.Contains(cond.Expr, c.Name+"(") {
+			if strings.Contains(cond.Expr, call) {
 				c.ResultChecked = true
 				break
 			}

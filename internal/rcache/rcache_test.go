@@ -161,7 +161,8 @@ func TestDiskCorruptionIgnoredAndRemoved(t *testing.T) {
 			t.Fatalf("%s: corrupt file not removed", name)
 		}
 		// Restore for the next round.
-		if err := c.storeDisk(entry(k, "a.c", `{"x":1}`)); err != nil {
+		e := entry(k, "a.c", `{"x":1}`)
+		if err := c.storeDisk(e.Key, e.Marshal); err != nil {
 			t.Fatal(err)
 		}
 	}
