@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"pallas/internal/backoff"
-	"pallas/internal/failpoint"
 	"pallas/internal/guard"
 	"pallas/internal/incr"
 	"pallas/internal/journal"
@@ -327,7 +326,7 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 				return nil
 			}
 
-			transient := transientErr(err)
+			transient := guard.Transient(err)
 			if transient {
 				transientFails++
 			}
@@ -381,14 +380,6 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 	stats.FeasPruned = feasAfter.Pruned - feasBefore.Pruned
 	stats.FeasContradictions = feasAfter.Contradictions - feasBefore.Contradictions
 	return out, stats, nil
-}
-
-// transientErr classifies an analysis failure: recovered panics, budget
-// violations and injected failpoint faults are transient (worth retrying);
-// malformed input is deterministic and is not.
-func transientErr(err error) bool {
-	var pe *guard.PanicError
-	return errors.As(err, &pe) || guard.IsBudget(err) || errors.Is(err, failpoint.ErrInjected)
 }
 
 // journalOutcome appends a terminal record for a completed unit; journal

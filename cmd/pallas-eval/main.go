@@ -3,7 +3,8 @@
 //
 // Usage:
 //
-//	pallas-eval                 run everything
+//	pallas-eval                 run everything (ends with the spec-inference
+//	                            score)
 //	pallas-eval -table N        reproduce Table N (1-8)
 //	pallas-eval -figure N       reproduce Figure N (1-9)
 //	pallas-eval -fp             reproduce the §5.3 false-positive analysis
@@ -113,6 +114,13 @@ func main() {
 		}
 		run("fp", func() (string, error) {
 			r, err := eval.RunFP()
+			if err != nil {
+				return "", err
+			}
+			return r.Render(), nil
+		})
+		run("infer", func() (string, error) {
+			r, err := eval.RunInfer()
 			if err != nil {
 				return "", err
 			}

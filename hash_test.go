@@ -56,7 +56,7 @@ func TestCacheKeyCoversConfig(t *testing.T) {
 		"deadline":  {Deadline: 1},
 		"paths":     {MaxPaths: 7},
 		"visits":    {MaxBlockVisits: 9},
-		"inline":    {InlineDepth: 1},
+		"inline":    {InlineDepth: -1},
 		"macros":    {MaxMacroExpansions: 11},
 		"steps":     {MaxSteps: 13},
 		"keep":      {KeepGoing: true},
@@ -66,6 +66,17 @@ func TestCacheKeyCoversConfig(t *testing.T) {
 		if got := New(cfg).CacheKey(u); got == base {
 			t.Errorf("config field %q does not change the cache key", name)
 		}
+	}
+
+	// InlineDepth is an on/off switch: every positive depth keys like the
+	// default, every negative one like -1.
+	for _, d := range []int{1, 2, 5} {
+		if New(Config{InlineDepth: d}).CacheKey(u) != base {
+			t.Errorf("InlineDepth %d does not share the default key", d)
+		}
+	}
+	if New(Config{InlineDepth: -7}).CacheKey(u) != New(Config{InlineDepth: -1}).CacheKey(u) {
+		t.Error("negative InlineDepths do not share one key")
 	}
 
 	// Include-file content (not just the name) is covered.

@@ -135,47 +135,6 @@ func sameInts(a, b []int64) bool {
 	return true
 }
 
-// SuggestSpec proposes spec directives from the diff: condition variables the
-// slow path checks but the fast path does not, an output-match obligation
-// when returns differ, and a check_return hint for calls only the slow path
-// verifies. It is the study tool's "narrow down the focus" step automated.
-func (d *Diff) SuggestSpec() []string {
-	var out []string
-	for _, c := range d.CondsSlowOnly {
-		for _, v := range identsInText(c) {
-			out = append(out, "cond "+v)
-		}
-	}
-	if d.ReturnsDiffer {
-		out = append(out, fmt.Sprintf("match_output %s %s", d.Fast.Func, d.Slow.Func))
-	}
-	for _, call := range d.CallsSlowOnly {
-		out = append(out, "# slow path additionally calls "+call)
-	}
-	sort.Strings(out)
-	return dedupSorted(out)
-}
-
-func identsInText(s string) []string {
-	var out []string
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') {
-			j := i
-			for j < len(s) && (s[j] == '_' || (s[j] >= 'a' && s[j] <= 'z') ||
-				(s[j] >= 'A' && s[j] <= 'Z') || (s[j] >= '0' && s[j] <= '9')) {
-				j++
-			}
-			out = append(out, s[i:j])
-			i = j
-			continue
-		}
-		i++
-	}
-	return out
-}
-
 // String renders the diff as a readable report.
 func (d *Diff) String() string {
 	var sb strings.Builder

@@ -74,18 +74,6 @@ func TestDiffSets(t *testing.T) {
 	}
 }
 
-func TestSuggestSpec(t *testing.T) {
-	d := compare(t)
-	suggestions := d.SuggestSpec()
-	joined := strings.Join(suggestions, "\n")
-	if !strings.Contains(joined, "match_output rcv_fast rcv_slow") {
-		t.Errorf("suggestions = %v", suggestions)
-	}
-	if !strings.Contains(joined, "validate_segment") {
-		t.Errorf("suggestions = %v", suggestions)
-	}
-}
-
 func TestStringRender(t *testing.T) {
 	d := compare(t)
 	out := d.String()
@@ -111,8 +99,5 @@ int b(int x) { if (x) return 1; return 0; }
 	}
 	if d.ReturnsDiffer {
 		t.Error("identical returns flagged")
-	}
-	if len(d.SuggestSpec()) != 0 {
-		t.Errorf("suggestions for identical: %v", d.SuggestSpec())
 	}
 }

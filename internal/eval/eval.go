@@ -85,47 +85,9 @@ func (t *Table1Result) Accuracy() float64 {
 	return float64(t.TotalBugs) / float64(t.TotalWarnings)
 }
 
-// RunTable1 analyzes the full corpus with all five checkers.
-func RunTable1() (*Table1Result, error) {
-	reg := corpus.Generate()
-	res := &Table1Result{
-		Cells:       map[string]map[corpus.System]*Table1Cell{},
-		RowBugs:     map[string]int{},
-		RowWarnings: map[string]int{},
-	}
-	for _, f := range report.AllFindings() {
-		res.Cells[f] = map[corpus.System]*Table1Cell{}
-		for _, s := range corpus.Systems() {
-			res.Cells[f][s] = &Table1Cell{}
-		}
-	}
-	for _, c := range reg.Cases {
-		r, err := analyzeCase(c.File, c.Source, c.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("case %s: %w", c.ID, err)
-		}
-		res.CasesRun++
-		fired := false
-		for _, w := range r.Warnings {
-			cell := res.Cells[w.Finding][c.System]
-			cell.Warnings++
-			res.RowWarnings[w.Finding]++
-			res.TotalWarnings++
-			if w.Finding == c.Finding {
-				fired = true
-				if c.Kind == corpus.Bug {
-					cell.Bugs++
-					res.RowBugs[w.Finding]++
-					res.TotalBugs++
-				}
-			}
-		}
-		if !fired {
-			res.Missed = append(res.Missed, c.ID)
-		}
-	}
-	return res, nil
-}
+// RunTable1 analyzes the full corpus with all five checkers, one case at a
+// time.
+func RunTable1() (*Table1Result, error) { return RunTable1Parallel(1) }
 
 // Render prints the measured Table 1 next to the published values.
 func (t *Table1Result) Render() string {

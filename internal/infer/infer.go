@@ -5,20 +5,15 @@
 // Given a fast path and its slow path, Infer proposes spec directives by
 // treating the slow path as the reference implementation:
 //
-//   - parameters the slow path never writes are immutable candidates,
-//   - variables the slow path tests but the fast path does not are
-//     trigger-condition candidates,
-//   - the slow path's concrete return constants become the defined return
-//     set and a match_output obligation,
-//   - callees whose result the slow path checks become check_return
-//     obligations,
-//   - state-looking fields tested only on the slow path become fault states,
-//   - MUVI-style co-access mining (the paper cites Lu et al. [25] for this)
-//     proposes correlated-variable pairs from access patterns across the
-//     whole translation unit.
+//   - parameters the slow path never writes are immutable candidates;
+//   - state-looking fields the slow path tests in flow control are fault
+//     states.
 //
-// Suggestions are ranked by confidence; a developer reviews them and keeps
-// the ones that encode real semantics.
+// A heuristic belongs here only while it finds a seeded bug that the pair
+// directive alone misses: eval.RunInfer scores each one against the corpus
+// (EXPERIMENTS.md, "Spec inference, scored"). Suggestions are ranked by
+// confidence; a developer reviews them and keeps the ones that encode real
+// semantics.
 package infer
 
 import (
@@ -27,8 +22,6 @@ import (
 	"strings"
 
 	"pallas/internal/cast"
-	"pallas/internal/difftool"
-	"pallas/internal/paths"
 )
 
 // Suggestion is one proposed spec directive.
@@ -41,63 +34,27 @@ type Suggestion struct {
 	Confidence float64
 }
 
-// Options tunes the inference heuristics.
-type Options struct {
-	// MinCorrelationSupport is the number of functions a variable pair must
-	// co-occur in before a correlation is proposed (MUVI's support).
-	MinCorrelationSupport int
-	// MinCorrelationConfidence is co-occurrence over occurrence (MUVI's
-	// confidence).
-	MinCorrelationConfidence float64
-}
-
-// DefaultOptions mirrors MUVI's published thresholds scaled to corpus-size
-// translation units.
-func DefaultOptions() Options {
-	return Options{MinCorrelationSupport: 2, MinCorrelationConfidence: 0.8}
-}
-
 // Infer proposes spec directives for the fast/slow pair within tu.
-func Infer(tu *cast.TranslationUnit, fast, slow string, opts Options) ([]Suggestion, error) {
+func Infer(tu *cast.TranslationUnit, fast, slow string) ([]Suggestion, error) {
 	ff := tu.Func(fast)
 	sf := tu.Func(slow)
 	if ff == nil || sf == nil {
 		return nil, fmt.Errorf("infer: function not found (fast=%v slow=%v)", ff != nil, sf != nil)
 	}
-	if opts.MinCorrelationSupport <= 0 {
-		opts = DefaultOptions()
-	}
-	var out []Suggestion
-	out = append(out, Suggestion{
+	out := []Suggestion{{
 		Directive:  fmt.Sprintf("pair %s %s", fast, slow),
 		Reason:     "declared fast/slow pair",
 		Confidence: 1,
-	})
+	}}
 	out = append(out, inferImmutables(sf, ff)...)
-	out = append(out, inferCondVars(tu, ff, sf)...)
-	out = append(out, inferReturns(tu, fast, ff, sf)...)
-	out = append(out, inferCheckReturn(ff, sf)...)
-	out = append(out, inferFaults(ff, sf)...)
-	out = append(out, InferCorrelations(tu, opts)...)
+	out = append(out, inferFaults(sf)...)
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Confidence != out[j].Confidence {
 			return out[i].Confidence > out[j].Confidence
 		}
 		return out[i].Directive < out[j].Directive
 	})
-	return dedupSuggestions(out), nil
-}
-
-func dedupSuggestions(in []Suggestion) []Suggestion {
-	seen := map[string]bool{}
-	var out []Suggestion
-	for _, s := range in {
-		if !seen[s.Directive] {
-			seen[s.Directive] = true
-			out = append(out, s)
-		}
-	}
-	return out
+	return out, nil
 }
 
 // writtenVars collects the root identifiers a function assigns to.
@@ -166,149 +123,9 @@ func looksLikeModeName(name string) bool {
 	return false
 }
 
-// inferCondVars proposes variables the slow path branches on but the fast
-// path never consults.
-func inferCondVars(tu *cast.TranslationUnit, fast, slow *cast.FuncDecl) []Suggestion {
-	d := difftool.Compare(tu, fast, slow)
-	fastIdents := map[string]bool{}
-	for _, v := range d.Fast.Vars {
-		fastIdents[v] = true
-	}
-	seen := map[string]bool{}
-	var out []Suggestion
-	for _, cond := range d.CondsSlowOnly {
-		for _, v := range identWords(cond) {
-			if seen[v] || !fastIdents[v] {
-				// Only propose variables both paths can see; slow-only
-				// locals are not trigger conditions for the fast path.
-				continue
-			}
-			seen[v] = true
-			out = append(out, Suggestion{
-				Directive:  "cond " + v,
-				Reason:     fmt.Sprintf("slow path branches on %q (%s); fast path never does", v, cond),
-				Confidence: 0.6,
-			})
-		}
-	}
-	return out
-}
-
-// inferReturns proposes the slow path's concrete return constants as the
-// defined return set, plus the output-match obligation when they disagree.
-func inferReturns(tu *cast.TranslationUnit, fastName string, fast, slow *cast.FuncDecl) []Suggestion {
-	svals := paths.ReturnConstants(tu, slow)
-	fvals := paths.ReturnConstants(tu, fast)
-	var out []Suggestion
-	if len(svals) > 0 {
-		vals := make([]string, len(svals))
-		for i, v := range svals {
-			vals[i] = fmt.Sprintf("%d", v)
-		}
-		out = append(out, Suggestion{
-			Directive:  fmt.Sprintf("returns %s {%s}", fastName, strings.Join(vals, ", ")),
-			Reason:     "the slow path's concrete return constants define the expected set",
-			Confidence: 0.7,
-		})
-	}
-	if !sameInt64s(svals, fvals) && len(svals) > 0 && len(fvals) > 0 {
-		out = append(out, Suggestion{
-			Directive:  fmt.Sprintf("match_output %s %s", fast.Name, slow.Name),
-			Reason:     fmt.Sprintf("concrete returns already disagree (fast %v vs slow %v)", fvals, svals),
-			Confidence: 0.8,
-		})
-	}
-	return out
-}
-
-func sameInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// checkedCallees collects callees whose result flows into a branch condition
-// (r = f(...); if (r ...)) or is tested directly (if (f(...))).
-func checkedCallees(fn *cast.FuncDecl) map[string]bool {
-	out := map[string]bool{}
-	// Direct: call inside a condition.
-	grabCond := func(cond cast.Expr) {
-		cast.Walk(cond, func(n cast.Node) bool {
-			if c, ok := n.(*cast.CallExpr); ok {
-				if id, ok := c.Fun.(*cast.IdentExpr); ok {
-					out[id.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	assignedTo := map[string]string{} // var -> callee
-	cast.Walk(fn.Body, func(n cast.Node) bool {
-		switch x := n.(type) {
-		case *cast.IfStmt:
-			grabCond(x.Cond)
-			for _, v := range cast.Idents(x.Cond) {
-				if callee, ok := assignedTo[v]; ok {
-					out[callee] = true
-				}
-			}
-		case *cast.WhileStmt:
-			grabCond(x.Cond)
-		case *cast.DeclStmt:
-			if c, ok := x.Init.(*cast.CallExpr); ok {
-				if id, ok := c.Fun.(*cast.IdentExpr); ok {
-					assignedTo[x.Name] = id.Name
-				}
-			}
-		case *cast.AssignExpr:
-			if c, ok := x.R.(*cast.CallExpr); ok {
-				if id, ok := c.Fun.(*cast.IdentExpr); ok {
-					if r := cast.RootIdent(x.L); r != "" {
-						assignedTo[r] = id.Name
-					}
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// inferCheckReturn proposes check_return for callees the slow path verifies
-// and the fast path also invokes.
-func inferCheckReturn(fast, slow *cast.FuncDecl) []Suggestion {
-	slowChecked := checkedCallees(slow)
-	fastCalls := map[string]bool{}
-	for _, c := range cast.Calls(fast.Body) {
-		fastCalls[c] = true
-	}
-	var names []string
-	for callee := range slowChecked {
-		if fastCalls[callee] {
-			names = append(names, callee)
-		}
-	}
-	sort.Strings(names)
-	var out []Suggestion
-	for _, n := range names {
-		out = append(out, Suggestion{
-			Directive:  "check_return " + n,
-			Reason:     fmt.Sprintf("the slow path checks the result of %s(); the fast path calls it too", n),
-			Confidence: 0.8,
-		})
-	}
-	return out
-}
-
 // inferFaults proposes fault states: error/state-looking fields the slow
 // path tests in flow control.
-func inferFaults(fast, slow *cast.FuncDecl) []Suggestion {
+func inferFaults(slow *cast.FuncDecl) []Suggestion {
 	var out []Suggestion
 	seen := map[string]bool{}
 	grab := func(cond cast.Expr) {
@@ -340,24 +157,4 @@ func looksLikeFaultName(name string) bool {
 		}
 	}
 	return false
-}
-
-func identWords(s string) []string {
-	var out []string
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') {
-			j := i
-			for j < len(s) && (s[j] == '_' || (s[j] >= 'a' && s[j] <= 'z') ||
-				(s[j] >= 'A' && s[j] <= 'Z') || (s[j] >= '0' && s[j] <= '9')) {
-				j++
-			}
-			out = append(out, s[i:j])
-			i = j
-			continue
-		}
-		i++
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package infer
 
 import (
-	"strings"
 	"testing"
 
 	"pallas/internal/cparse"
@@ -39,7 +38,7 @@ func suggestionsFor(t *testing.T) map[string]Suggestion {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sugg, err := Infer(tu, "alloc_fast", "alloc_slow", DefaultOptions())
+	sugg, err := Infer(tu, "alloc_fast", "alloc_slow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,23 +69,6 @@ func TestInferImmutables(t *testing.T) {
 	}
 }
 
-func TestInferCondVars(t *testing.T) {
-	got := suggestionsFor(t)
-	if _, ok := got["cond nodemask"]; !ok {
-		t.Errorf("nodemask condition not proposed; got %v", keys(got))
-	}
-	if _, ok := got["cond err"]; ok {
-		t.Error("slow-only local err must not be proposed")
-	}
-}
-
-func TestInferCheckReturn(t *testing.T) {
-	got := suggestionsFor(t)
-	if _, ok := got["check_return validate"]; !ok {
-		t.Errorf("check_return validate not proposed; got %v", keys(got))
-	}
-}
-
 func TestInferFaults(t *testing.T) {
 	got := suggestionsFor(t)
 	if _, ok := got["fault state_active"]; !ok {
@@ -99,7 +81,7 @@ func TestInferPairAlwaysFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sugg, err := Infer(tu, "alloc_fast", "alloc_slow", DefaultOptions())
+	sugg, err := Infer(tu, "alloc_fast", "alloc_slow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,89 +92,8 @@ func TestInferPairAlwaysFirst(t *testing.T) {
 
 func TestInferUnknownFunc(t *testing.T) {
 	tu, _ := cparse.Parse("t.c", pairSrc)
-	if _, err := Infer(tu, "alloc_fast", "missing", DefaultOptions()); err == nil {
+	if _, err := Infer(tu, "alloc_fast", "missing"); err == nil {
 		t.Fatal("expected error")
-	}
-}
-
-func TestInferReturnsSet(t *testing.T) {
-	src := `
-int fast(int a) { if (a) return 2; return 0; }
-int slow(int a) { if (a < 0) return -1; return 0; }
-`
-	tu, err := cparse.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sugg, err := Infer(tu, "fast", "slow", DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var haveReturns, haveMatch bool
-	for _, s := range sugg {
-		if s.Directive == "returns fast {-1, 0}" {
-			haveReturns = true
-		}
-		if strings.HasPrefix(s.Directive, "match_output fast slow") {
-			haveMatch = true
-		}
-	}
-	if !haveReturns {
-		t.Errorf("returns set not proposed: %+v", sugg)
-	}
-	if !haveMatch {
-		t.Errorf("match_output not proposed despite disagreeing constants: %+v", sugg)
-	}
-}
-
-func TestCorrelationMining(t *testing.T) {
-	// preferred_zone and nodemask co-occur in three functions; alone in none.
-	src := `
-unsigned long nodemask;
-struct zone { int id; };
-int pick_a(struct zone *preferred_zone) { return nodemask & (1 << preferred_zone->id); }
-int pick_b(struct zone *preferred_zone) { return nodemask | preferred_zone->id; }
-int pick_c(struct zone *preferred_zone) { return (int)(nodemask >> preferred_zone->id); }
-int unrelated(int x) { return x; }
-`
-	tu, err := cparse.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sugg := InferCorrelations(tu, DefaultOptions())
-	found := false
-	for _, s := range sugg {
-		if s.Directive == "correlated nodemask preferred_zone" {
-			found = true
-		}
-		if strings.Contains(s.Directive, "unrelated") || strings.Contains(s.Directive, " x") {
-			t.Errorf("spurious correlation: %+v", s)
-		}
-	}
-	if !found {
-		t.Errorf("expected nodemask~preferred_zone, got %+v", sugg)
-	}
-}
-
-func TestCorrelationThresholds(t *testing.T) {
-	// Only one co-occurrence: below default support of 2.
-	src := `
-unsigned long a_mask;
-unsigned long b_mask;
-int once(int unused) { return (int)(a_mask & b_mask); }
-int other_a(int unused) { return (int)a_mask; }
-int other_b(int unused) { return (int)b_mask; }
-`
-	tu, err := cparse.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sugg := InferCorrelations(tu, DefaultOptions()); len(sugg) != 0 {
-		t.Errorf("below-threshold pair proposed: %+v", sugg)
-	}
-	loose := Options{MinCorrelationSupport: 1, MinCorrelationConfidence: 0.3}
-	if sugg := InferCorrelations(tu, loose); len(sugg) == 0 {
-		t.Error("loose thresholds should propose the pair")
 	}
 }
 

@@ -877,7 +877,7 @@ func (ev *evaluator) call(x *cast.CallExpr) *sym.Value {
 	// Apply a callee summary when available.
 	var result *sym.Value
 	if !ev.silent && ev.st.ex.cfg.InlineDepth > 0 {
-		if sum := ev.st.ex.summary(name, ev.st.ex.cfg.InlineDepth); sum != nil {
+		if sum := ev.st.ex.summary(name); sum != nil {
 			rec.Inlined = true
 			ev.applySummary(sum, x, argVals)
 		}

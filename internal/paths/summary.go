@@ -53,12 +53,9 @@ type sumEntry struct {
 }
 
 // summary returns (and caches) the summary for fn, or nil when the function
-// is unknown or depth is exhausted. Safe for concurrent use; distinct names
-// build in parallel, one build per name.
-func (ex *Extractor) summary(name string, depth int) *Summary {
-	if depth <= 0 {
-		return nil
-	}
+// is unknown. Safe for concurrent use; distinct names build in parallel, one
+// build per name.
+func (ex *Extractor) summary(name string) *Summary {
 	ex.mu.Lock()
 	e, ok := ex.sums[name]
 	if !ok {

@@ -147,7 +147,7 @@ func (s *Server) handleClusterUnit(w http.ResponseWriter, r *http.Request) {
 		s.mErrors.Inc()
 		s.writeResultFrame(w, assign.Unit, cluster.ResultPayload{
 			Unit: assign.Unit, Hash: assign.Hash, Attempt: assign.Attempt,
-			Status: "failed", Err: err.Error(), Transient: transientClusterErr(err),
+			Status: "failed", Err: err.Error(), Transient: guard.Transient(err),
 			Worker: s.advertiseAddr(), Epoch: assign.Epoch,
 		})
 		return
@@ -255,12 +255,4 @@ func (s *Server) writeResultFrame(w http.ResponseWriter, unit string, res cluste
 			time.Sleep(f.Sleep)
 		}
 	}
-}
-
-// transientClusterErr mirrors the batch engine's retry classification:
-// recovered panics, budget violations and injected faults are worth a
-// retry; malformed input is not.
-func transientClusterErr(err error) bool {
-	var pe *guard.PanicError
-	return errors.As(err, &pe) || guard.IsBudget(err) || errors.Is(err, failpoint.ErrInjected)
 }

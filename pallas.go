@@ -107,10 +107,10 @@ type Config struct {
 	MaxPaths int
 	// MaxBlockVisits bounds loop traversals per path (default 2).
 	MaxBlockVisits int
-	// InlineDepth switches callee summarization: 0 selects the default 2,
-	// any positive value turns summaries on and a negative one turns them
-	// off. Summaries are one level deep whatever the value; the number
-	// itself only feeds cache and memo fingerprints.
+	// InlineDepth switches callee summarization: 0 or any positive value
+	// turns summaries on, a negative one turns them off. Summaries are one
+	// level deep whatever the value, so New normalises it to 2 (on) or -1
+	// (off), and the cache and memo fingerprints render only those two.
 	InlineDepth int
 	// Checkers selects a subset of the five checkers by name ("path-state",
 	// "trigger-condition", "path-output", "fault-handling", "data-struct");
@@ -225,8 +225,10 @@ func New(cfg Config) *Analyzer {
 	if cfg.MaxBlockVisits <= 0 {
 		cfg.MaxBlockVisits = 2
 	}
-	if cfg.InlineDepth == 0 {
+	if cfg.InlineDepth >= 0 {
 		cfg.InlineDepth = 2
+	} else {
+		cfg.InlineDepth = -1
 	}
 	reg := metrics.NewRegistry()
 	return &Analyzer{
@@ -504,7 +506,7 @@ func (r *Result) RenderWorkflow(fn string) (string, error) {
 // automated semantic-extraction step the paper leaves as future work.
 // Suggestions are ranked by confidence and must be reviewed by a developer.
 func (r *Result) InferSpec(fast, slow string) ([]Suggestion, error) {
-	return infer.Infer(r.tu, fast, slow, infer.DefaultOptions())
+	return infer.Infer(r.tu, fast, slow)
 }
 
 // ExtractPaths extracts paths for one function of an analyzed result even if
