@@ -58,7 +58,7 @@ func newClusterFlags() *clusterFlags {
 	fs.DurationVar(&c.opts.RequestTimeout, "request-timeout", 0, "end-to-end bound on one unit dispatch; a hung worker holds a unit at most this long (0 = 2m)")
 	fs.DurationVar(&c.opts.RetryBackoff, "retry-backoff", 0, "base delay before a requeued unit is re-dispatched, doubled per attempt with jitter (0 = 100ms)")
 	fs.DurationVar(&c.opts.HedgeAfter, "hedge-after", time.Second, "floor of the hedge threshold: a unit in flight past max(this, p95x3) is speculatively re-dispatched to the next healthy worker (<=0 disables hedging)")
-	fs.IntVar(&c.opts.HedgeMax, "hedge-max", 4, "maximum concurrently outstanding hedge dispatches (the speculative-work budget)")
+	fs.IntVar(&c.opts.HedgeMax, "hedge-max", 4, "maximum concurrently outstanding hedge dispatches, at least 1 (the speculative-work budget; -hedge-after 0 turns hedging off)")
 	fs.IntVar(&c.workerRestarts, "worker-restarts", 2, "restarts per spawned worker after a crash (negative = never restart)")
 	fs.StringVar(&c.workerBinary, "worker-binary", "", "executable to spawn workers from (default: this binary)")
 	fs.StringVar(&c.statusAddr, "status-addr", "", "serve coordinator /healthz (?verbose=1 adds the per-worker table) and /metrics on this address")
@@ -84,18 +84,22 @@ func (c *clusterFlags) workerArgs(includeDirs []string) []string {
 	return args
 }
 
-// cmdCluster distributes `check` across worker processes: units are sharded
-// by content hash, dispatched with work stealing, requeued when workers die,
-// and merged in input order so stdout and -pathdb output are byte-identical
-// to a single-process `check` at any worker count and under any crash
-// schedule. -journal makes the coordinator itself crash-recoverable: a
-// killed coordinator rerun with -resume replays finished units from the
-// journal instead of re-analyzing them.
+// cmdCluster distributes `check` across worker processes: units wait in one
+// run queue that every worker pulls from, are requeued when workers die,
+// and are merged in input order so stdout and -pathdb output are
+// byte-identical to a single-process `check` at any worker count and under
+// any crash schedule. -journal makes the coordinator itself
+// crash-recoverable: a killed coordinator rerun with -resume replays
+// finished units from the journal instead of re-analyzing them.
 func cmdCluster(args []string) error {
 	c := newClusterFlags()
 	fs := c.fs
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if c.opts.HedgeMax < 1 {
+		fmt.Fprintf(os.Stderr, "pallas: cluster: -hedge-max %d: want at least 1 (-hedge-after 0 turns hedging off)\n", c.opts.HedgeMax)
+		return exitCode(2)
 	}
 	if fs.NArg() < 1 {
 		return fmt.Errorf("cluster: want at least one C file")

@@ -107,6 +107,46 @@ func TestClusterWorkerCrashByteIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterRepeatRunHitsSharedCacheDir: a repeat cluster run over the
+// same files is served from the cache whichever worker each unit lands on,
+// because every spawned worker gets the same -cache-dir and so shares one
+// disk tier. The second run must report one cache hit per unit, with stdout
+// and the merged path database byte-identical to the first run's.
+func TestClusterRepeatRunHitsSharedCacheDir(t *testing.T) {
+	bin := buildPallas(t)
+	dir := t.TempDir()
+	const nUnits = 6
+	files := writeCrashCorpus(t, dir, nUnits)
+	cacheDir := filepath.Join(dir, "cache")
+	var outs, dbs [2]string
+	var stderr2 string
+	for run := range outs {
+		db := filepath.Join(dir, fmt.Sprintf("db%d.json", run))
+		stdout, stderr, code := runPallas(t, bin, nil,
+			append([]string{"cluster", "-cluster-workers", "3", "-cache-dir", cacheDir, "-pathdb", db}, files...)...)
+		if code != 1 {
+			t.Fatalf("run %d: exit = %d, want 1\nstderr:\n%s", run, code, stderr)
+		}
+		b, err := os.ReadFile(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[run], dbs[run], stderr2 = stdout, string(b), stderr
+	}
+	if want := fmt.Sprintf("%d completed", nUnits); !strings.Contains(stderr2, want) {
+		t.Errorf("repeat run summary lacks %q:\n%s", want, stderr2)
+	}
+	if want := fmt.Sprintf("%d cache hit(s)", nUnits); !strings.Contains(stderr2, want) {
+		t.Errorf("repeat run summary lacks %q: every unit should hit the shared disk tier\n%s", want, stderr2)
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("repeat run stdout differs\n--- first ---\n%s\n--- repeat ---\n%s", outs[0], outs[1])
+	}
+	if dbs[0] != dbs[1] {
+		t.Errorf("repeat run -pathdb bytes differ\n--- first ---\n%s\n--- repeat ---\n%s", dbs[0], dbs[1])
+	}
+}
+
 // TestClusterCoordinatorKillResume is the coordinator-side chaos proof: the
 // cluster process (and its whole process group, workers included) is
 // SIGKILLed once the journal holds some terminal records, then re-run with

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"net"
 	"reflect"
@@ -80,6 +81,19 @@ func TestClusterWorkerArgsRoundTrip(t *testing.T) {
 	want.Analyzer.IncludeDirs = dirs
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("worker config from argv %q\n got %+v\nwant %+v", args, got, want)
+	}
+}
+
+// TestClusterHedgeMaxBelowOneIsUsageError: -hedge-after <= 0 is hedging's
+// one off switch, so a -hedge-max below 1 is refused with exit 2 before any
+// input is read or worker spawned, never mapped to a default.
+func TestClusterHedgeMaxBelowOneIsUsageError(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		err := cmdCluster([]string{"-hedge-max", v, "missing.c"})
+		var code exitCode
+		if !errors.As(err, &code) || code != 2 {
+			t.Errorf("-hedge-max %s: err = %v, want exit status 2", v, err)
+		}
 	}
 }
 

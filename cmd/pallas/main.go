@@ -343,14 +343,13 @@ func cmdPaths(args []string) error {
 	if fs.NArg() != 1 || *fn == "" {
 		return fmt.Errorf("paths: want -func name and one C file")
 	}
-	b, err := os.ReadFile(fs.Arg(0))
+	res, err := pallas.New(pallas.Config{}).AnalyzeFile(fs.Arg(0), "fastpath "+*fn+"\n")
 	if err != nil {
 		return err
 	}
-	a := pallas.New(pallas.Config{})
-	fp, err := a.ExtractPaths(fs.Arg(0), string(b), *fn)
-	if err != nil {
-		return err
+	fp := res.Paths.FuncPaths(*fn)
+	if fp == nil {
+		return fmt.Errorf("paths: no function %q", *fn)
 	}
 	fmt.Printf("%d path(s) of %s", len(fp.Paths), fp.Signature)
 	if fp.Truncated {
@@ -361,10 +360,6 @@ func cmdPaths(args []string) error {
 		fmt.Print(p)
 	}
 	if *dbOut != "" {
-		res, err := a.AnalyzeSource(fs.Arg(0), string(b), "fastpath "+*fn+"\n")
-		if err != nil {
-			return err
-		}
 		if err := res.Paths.Save(*dbOut); err != nil {
 			return err
 		}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pallas/internal/pathdb"
 )
 
 const sampleC = `
@@ -62,31 +64,37 @@ func capture(t *testing.T, fn func() error) (string, error) {
 }
 
 func TestCmdPaths(t *testing.T) {
-	path := writeSample(t)
-	out, err := capture(t, func() error {
-		return cmdPaths([]string{"-func", "get_fast", path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"path(s) of get_fast", "cond", "state"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("paths output missing %q:\n%s", want, out)
+	for name, path := range samples(t) {
+		out, err := capture(t, func() error {
+			return cmdPaths([]string{"-func", "get_fast", path})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, want := range []string{"2 path(s) of get_fast", "cond", "state"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: paths output missing %q:\n%s", name, want, out)
+			}
 		}
 	}
 }
 
 func TestCmdPathsDBOutput(t *testing.T) {
-	path := writeSample(t)
-	dbPath := filepath.Join(t.TempDir(), "db.json")
-	_, err := capture(t, func() error {
-		return cmdPaths([]string{"-func", "get_fast", "-db", dbPath, path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dbPath); err != nil {
-		t.Fatalf("db not written: %v", err)
+	for name, path := range samples(t) {
+		dbPath := filepath.Join(t.TempDir(), "db.json")
+		_, err := capture(t, func() error {
+			return cmdPaths([]string{"-func", "get_fast", "-db", dbPath, path})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		db, err := pathdb.Load(dbPath)
+		if err != nil {
+			t.Fatalf("%s: db not written: %v", name, err)
+		}
+		if fp := db.FuncPaths("get_fast"); fp == nil || len(fp.Paths) != 2 {
+			t.Errorf("%s: db entry for get_fast: %+v", name, fp)
+		}
 	}
 }
 

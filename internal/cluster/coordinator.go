@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -55,10 +56,10 @@ type Options struct {
 	// HedgeAfter is the floor of the hedging threshold: a unit in flight
 	// longer than max(HedgeAfter, p95 × 3) is speculatively re-dispatched
 	// to the next healthy worker, first completion winning. Default 1s;
-	// negative disables hedging.
+	// negative disables hedging (its only off switch).
 	HedgeAfter time.Duration
 	// HedgeMax caps concurrently outstanding hedge dispatches across the
-	// run — the speculative-work budget. Default 4; <= -1 disables.
+	// run — the speculative-work budget. <= 0 means the default, 4.
 	HedgeMax int
 	// IntegrityLimit evicts a worker after this many end-to-end content
 	// checksum failures (a corrupting worker is worse than a dead one: it
@@ -174,7 +175,6 @@ type WorkerHealth struct {
 	Score           float64 `json:"score"`
 	LatencyEWMAMS   float64 `json:"latency_ewma_ms"`
 	ErrorRate       float64 `json:"error_rate"`
-	Queue           int     `json:"queue"`
 	InFlight        int     `json:"in_flight"`
 	Done            int64   `json:"done"`
 	Requeues        int64   `json:"requeues"`
@@ -206,8 +206,8 @@ type task struct {
 	hash      string
 	attempts  int
 	hedges    int
-	owner     string           // worker addr of the most recent lease
-	queuedOn  string           // worker addr whose queue holds it while pending
+	queued    bool             // sits in the run queue
+	avoid     string           // worker addr that last failed it
 	notBefore time.Time        // retry-backoff eligibility
 	leases    map[int64]*lease // outstanding leases by epoch
 	outcome   *Outcome
@@ -216,7 +216,6 @@ type task struct {
 type workerState struct {
 	addr           string
 	live           bool
-	queue          []*task
 	inflight       int
 	misses         int
 	lastBeat       time.Time
@@ -229,10 +228,10 @@ type workerState struct {
 	stop           chan struct{}
 }
 
-// Coordinator owns a cluster run: it shards units over workers, keeps them
-// alive or evicts them, and merges results deterministically. Create with
-// NewCoordinator, register workers with AddWorker (before or during Run),
-// then call Run once.
+// Coordinator owns a cluster run: every live worker's dispatch lanes pull
+// units from one FIFO run queue; it keeps workers alive or evicts them, and
+// merges results deterministically. Create with NewCoordinator, register
+// workers with AddWorker (before or during Run), then call Run once.
 type Coordinator struct {
 	opts   Options
 	client *http.Client
@@ -240,10 +239,9 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	ring      *Ring
 	workers   map[string]*workerState
 	tasks     []*task
-	orphans   []*task // pending tasks with no live worker to queue on
+	queue     []*task // the run queue: pending tasks awaiting a dispatch lane
 	pending   int
 	running   bool
 	closed    bool
@@ -303,7 +301,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	if opts.HedgeAfter == 0 {
 		opts.HedgeAfter = time.Second
 	}
-	if opts.HedgeMax == 0 {
+	if opts.HedgeMax <= 0 {
 		opts.HedgeMax = 4
 	}
 	if opts.IntegrityLimit <= 0 {
@@ -319,7 +317,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:    opts,
 		client:  opts.Client,
-		ring:    NewRing(),
 		workers: map[string]*workerState{},
 
 		gWorkersLive: reg.Gauge(metrics.MetricClusterWorkersLive, "cluster workers currently live"),
@@ -374,14 +371,7 @@ func (c *Coordinator) AddWorker(addr string) {
 	}
 	w := &workerState{addr: addr, live: true, lastBeat: time.Now(), stop: make(chan struct{})}
 	c.workers[addr] = w
-	c.ring.Add(addr)
 	c.gWorkersLive.Set(c.liveCountLocked())
-	// Re-home orphaned tasks now that a worker exists.
-	for _, t := range c.orphans {
-		t.queuedOn = addr
-		w.queue = append(w.queue, t)
-	}
-	c.orphans = nil
 	c.pushPeerMapLocked()
 	if c.running {
 		c.startWorkerLocked(w)
@@ -443,8 +433,8 @@ func (c *Coordinator) postPeerMap(addr string, body []byte) {
 }
 
 // RemoveWorker evicts a worker (the supervisor calls it when a worker
-// process dies before the heartbeat notices); its queued and in-flight
-// units are requeued to the survivors.
+// process dies before the heartbeat notices); its in-flight units are
+// requeued for the survivors.
 func (c *Coordinator) RemoveWorker(addr string, reason error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -621,95 +611,28 @@ func (c *Coordinator) watch() {
 	}
 }
 
-// enqueueLocked queues a pending task on its ring owner (or the
-// shortest-queued live worker when the owner is excluded, dead, or on
-// probation with a healthy alternative). exclude names a worker to avoid —
-// the one that just failed the task.
-func (c *Coordinator) enqueueLocked(t *task, exclude string) {
-	target := ""
-	if owner := c.ring.Owner(t.hash); owner != "" && owner != exclude {
-		// Health bias: divert from a probation owner while any healthy
-		// worker exists; a fully degraded fleet keeps ring placement.
-		if w := c.workers[owner]; w == nil || !w.h.probation || !c.hasHealthyLocked(exclude) {
-			target = owner
-		}
-	}
-	if target == "" {
-		preferHealthy := c.hasHealthyLocked(exclude)
-		best := -1
-		for _, w := range c.workers {
-			if !w.live || w.addr == exclude {
-				continue
-			}
-			if preferHealthy && w.h.probation {
-				continue
-			}
-			if best < 0 || len(w.queue) < best {
-				best = len(w.queue)
-				target = w.addr
-			}
-		}
-	}
-	if target == "" {
-		// No live worker (or only the excluded one, which is being
-		// evicted): park the task; AddWorker drains orphans.
-		if exclude != "" {
-			if w := c.workers[exclude]; w != nil && w.live {
-				t.queuedOn = exclude
-				w.queue = append(w.queue, t)
-				return
-			}
-		}
-		t.queuedOn = ""
-		c.orphans = append(c.orphans, t)
-		return
-	}
-	t.queuedOn = target
-	c.workers[target].queue = append(c.workers[target].queue, t)
+// enqueueLocked appends a pending task to the run queue. avoid names the
+// worker that just failed it, which next skips while another worker is
+// live.
+func (c *Coordinator) enqueueLocked(t *task, avoid string) {
+	t.queued = true
+	t.avoid = avoid
+	c.queue = append(c.queue, t)
 }
 
-// dequeueLocked removes t from whatever queue holds it (used when a late
-// completion for a requeued task arrives before its re-dispatch).
+// dequeueLocked removes t from the run queue if it is there (used when a
+// late completion for a requeued task arrives before its re-dispatch).
 func (c *Coordinator) dequeueLocked(t *task) {
-	if t.queuedOn != "" {
-		if w := c.workers[t.queuedOn]; w != nil {
-			for i, q := range w.queue {
-				if q == t {
-					w.queue = append(w.queue[:i], w.queue[i+1:]...)
-					break
-				}
-			}
-		}
-		t.queuedOn = ""
-		return
-	}
-	for i, q := range c.orphans {
-		if q == t {
-			c.orphans = append(c.orphans[:i], c.orphans[i+1:]...)
-			return
-		}
+	if t.queued {
+		c.queue = slices.DeleteFunc(c.queue, func(q *task) bool { return q == t })
+		t.queued = false
 	}
 }
 
-// isQueuedLocked reports whether t currently sits in some worker's queue or
-// the orphan list.
-func (c *Coordinator) isQueuedLocked(t *task) bool {
-	if t.queuedOn != "" {
-		return true
-	}
-	for _, q := range c.orphans {
-		if q == t {
-			return true
-		}
-	}
-	return false
-}
-
-// next blocks until the worker has a unit to run (own queue first, then
-// stolen from the longest live queue), the worker dies, or the run ends.
-// A worker on probation runs at most one probe unit at a time and never
-// steals — load drains away from it until its score recovers. Returns a
-// fresh lease for the dispatch, or nils when the dispatcher should exit.
+// next blocks until the worker has a unit to run, the worker dies, or the
+// run ends. A worker on probation runs at most one probe unit at a time, so
+// load drains away from it until its score recovers. Returns a fresh lease
+// for the dispatch, or nils when the dispatcher should exit.
 func (c *Coordinator) next(w *workerState) (*task, *lease) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -722,53 +645,21 @@ func (c *Coordinator) next(w *workerState) (*task, *lease) {
 			if t := c.popEligibleLocked(w, now); t != nil {
 				return t, c.newLeaseLocked(t, w, false)
 			}
-			if !w.h.probation {
-				if t := c.stealLocked(w, now); t != nil {
-					return t, c.newLeaseLocked(t, w, false)
-				}
-			}
 		}
 		c.cond.Wait()
 	}
 }
 
-// popEligibleLocked removes the first task in w's queue whose retry backoff
-// has elapsed.
+// popEligibleLocked removes the first queued task whose retry backoff has
+// elapsed, skipping one that w itself just failed while another worker is
+// live to take it.
 func (c *Coordinator) popEligibleLocked(w *workerState, now time.Time) *task {
-	for i, t := range w.queue {
-		if t.notBefore.After(now) {
+	for i, t := range c.queue {
+		if t.notBefore.After(now) || (t.avoid == w.addr && c.liveCountLocked() > 1) {
 			continue
 		}
-		w.queue = append(w.queue[:i], w.queue[i+1:]...)
-		t.queuedOn = ""
-		return t
-	}
-	return nil
-}
-
-// stealLocked takes an eligible task from the tail of the longest live
-// queue — the classic work-stealing choice: the tail is the work its owner
-// would reach last, so stealing it disturbs cache locality least.
-func (c *Coordinator) stealLocked(w *workerState, now time.Time) *task {
-	var victim *workerState
-	for _, u := range c.workers {
-		if u == w || !u.live || len(u.queue) == 0 {
-			continue
-		}
-		if victim == nil || len(u.queue) > len(victim.queue) {
-			victim = u
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	for i := len(victim.queue) - 1; i >= 0; i-- {
-		t := victim.queue[i]
-		if t.notBefore.After(now) {
-			continue
-		}
-		victim.queue = append(victim.queue[:i], victim.queue[i+1:]...)
-		t.queuedOn = ""
+		c.queue = slices.Delete(c.queue, i, i+1)
+		t.queued = false
 		return t
 	}
 	return nil
@@ -782,7 +673,6 @@ func (c *Coordinator) newLeaseLocked(t *task, w *workerState, hedge bool) *lease
 	ls := &lease{epoch: c.epoch, worker: w.addr, hedge: hedge,
 		start: time.Now(), ctx: ctx, cancel: cancel}
 	t.leases[ls.epoch] = ls
-	t.owner = w.addr
 	if hedge {
 		c.hedgesOut++
 	} else {
@@ -1010,10 +900,9 @@ func (c *Coordinator) backpressured(w *workerState, t *task, ls *lease, retryAft
 // bookkeeping (no requeue counter, no backoff — admission refused, nothing
 // ran).
 func (c *Coordinator) requeueShedLocked(t *task) {
-	if t.outcome != nil || len(t.leases) > 0 || c.isQueuedLocked(t) {
+	if t.outcome != nil || len(t.leases) > 0 || t.queued {
 		return
 	}
-	t.owner = ""
 	c.enqueueLocked(t, "")
 }
 
@@ -1065,7 +954,6 @@ func (c *Coordinator) complete(w *workerState, t *task, ls *lease, p ResultPaylo
 		sib.cancel()
 	}
 	c.dequeueLocked(t) // a late completion may race its own requeue
-	t.owner = ""
 	status := journal.StatusOK
 	if p.Status == "degraded" {
 		status = journal.StatusDegraded
@@ -1135,7 +1023,6 @@ func (c *Coordinator) terminalFail(w *workerState, t *task, ls *lease, p ResultP
 		sib.cancel()
 	}
 	c.dequeueLocked(t)
-	t.owner = ""
 	t.outcome = &Outcome{
 		Unit: t.unit.Name, Hash: t.hash, Status: journal.StatusFailed,
 		Err: p.Err, Diagnostics: p.Diagnostics, Attempts: t.attempts,
@@ -1194,16 +1081,16 @@ func (c *Coordinator) integrityFail(w *workerState, t *task, ls *lease, want, go
 		t.unit.Name, w.addr, want, got)
 }
 
-// requeueIfUnheldLocked returns a failed task to the pending queue — but
-// only when nothing else holds it: no outcome, no outstanding lease (a
-// hedge may still be racing), not already queued. Quarantines when its
-// attempts are spent.
-func (c *Coordinator) requeueIfUnheldLocked(w *workerState, t *task, err error) {
-	if t.outcome != nil || len(t.leases) > 0 || c.isQueuedLocked(t) {
-		return
+// requeueIfUnheldLocked returns a task that w failed to the run queue,
+// after its retry backoff — but only when nothing else holds it: no
+// outcome, no outstanding lease (a hedge may still be racing), not already
+// queued. Quarantines when its attempts are spent. Reports whether it
+// requeued.
+func (c *Coordinator) requeueIfUnheldLocked(w *workerState, t *task, err error) bool {
+	if t.outcome != nil || len(t.leases) > 0 || t.queued {
+		return false
 	}
 	if t.attempts >= c.opts.Retries+1 {
-		t.owner = ""
 		t.outcome = &Outcome{
 			Unit: t.unit.Name, Hash: t.hash, Status: journal.StatusQuarantined,
 			Err: err.Error(), Attempts: t.attempts, Worker: w.addr,
@@ -1212,13 +1099,13 @@ func (c *Coordinator) requeueIfUnheldLocked(w *workerState, t *task, err error) 
 		c.mUnitsDone.Inc()
 		c.pending--
 		c.journalTerminalAsync(t) // callers hold c.mu; Append must not
-		return
+		return false
 	}
-	t.owner = ""
 	t.notBefore = time.Now().Add(backoff.Delay(c.opts.RetryBackoff, t.attempts))
 	c.mRequeues.Inc()
 	w.requeues++
 	c.enqueueLocked(t, w.addr)
+	return true
 }
 
 // journalTerminalAsync records a terminal outcome from a caller holding
@@ -1252,31 +1139,23 @@ func (c *Coordinator) journalTerminal(t *task) {
 	}
 }
 
-// evictLocked removes a worker from rotation and requeues everything it
-// held: queued units move to survivors immediately; in-flight leases are
-// invalidated — NOT canceled — so the worker's late responses, if any,
-// arrive against a closed fence and are rejected as stale instead of
-// racing the re-dispatch. That is the zombie window, closed by epoch
-// fencing rather than by hoping the connection dies first.
+// evictLocked removes a worker from rotation and requeues the units it
+// held in flight. Their leases are invalidated — NOT canceled — so the
+// worker's late responses, if any, arrive against a closed fence and are
+// rejected as stale instead of racing the re-dispatch. That is the zombie
+// window, closed by epoch fencing rather than by hoping the connection dies
+// first. Queued units never left the run queue and need nothing.
 func (c *Coordinator) evictLocked(w *workerState, reason error) {
 	if !w.live {
 		return
 	}
 	w.live = false
 	close(w.stop)
-	c.ring.Remove(w.addr)
 	c.mEvictions.Inc()
 	c.gWorkersLive.Set(c.liveCountLocked())
 	c.pushPeerMapLocked()
+	err := fmt.Errorf("worker %s evicted: %v", w.addr, reason)
 	requeued := 0
-	// Queued units first.
-	for _, t := range w.queue {
-		t.queuedOn = ""
-		c.enqueueLocked(t, w.addr)
-		requeued++
-	}
-	w.queue = nil
-	// Then in-flight leases.
 	for _, t := range c.tasks {
 		if t.outcome != nil {
 			continue
@@ -1288,27 +1167,9 @@ func (c *Coordinator) evictLocked(w *workerState, reason error) {
 				touched = true
 			}
 		}
-		if !touched || len(t.leases) > 0 || c.isQueuedLocked(t) {
-			continue
+		if touched && c.requeueIfUnheldLocked(w, t, err) {
+			requeued++
 		}
-		if t.attempts >= c.opts.Retries+1 {
-			t.owner = ""
-			t.outcome = &Outcome{
-				Unit: t.unit.Name, Hash: t.hash, Status: journal.StatusQuarantined,
-				Err:      fmt.Sprintf("worker %s evicted: %v", w.addr, reason),
-				Attempts: t.attempts, Worker: w.addr,
-			}
-			c.stats.Quarantined++
-			c.mUnitsDone.Inc()
-			c.pending--
-			c.journalTerminalAsync(t)
-			continue
-		}
-		t.owner = ""
-		c.mRequeues.Inc()
-		w.requeues++
-		c.enqueueLocked(t, w.addr)
-		requeued++
 	}
 	c.cond.Broadcast()
 	c.logf("cluster: evicted worker %s (%v), %d unit(s) requeued", w.addr, reason, requeued)
@@ -1417,8 +1278,7 @@ func (c *Coordinator) WorkerTable() []WorkerHealth {
 			Score:         float64(int(w.h.score*1000)) / 1000,
 			LatencyEWMAMS: float64(int(w.h.latEWMA*10)) / 10,
 			ErrorRate:     float64(int(w.h.errEWMA*1000)) / 1000,
-			Queue:         len(w.queue), InFlight: w.inflight,
-			Done: w.done, Requeues: w.requeues, HeartbeatMisses: w.hbMisses,
+			InFlight:      w.inflight, Done: w.done, Requeues: w.requeues, HeartbeatMisses: w.hbMisses,
 			IntegrityFails: w.integrityFails,
 			LastBeatAgeMS:  age, Paused: now.Before(w.pausedUntil),
 		})

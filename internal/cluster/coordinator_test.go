@@ -565,3 +565,35 @@ func TestClusterLateWorkerDrainsOrphans(t *testing.T) {
 		t.Fatalf("stats: %+v", stats)
 	}
 }
+
+// TestClusterRetryAvoidsFailingWorker: a unit that one worker failed
+// transiently is retried on another live worker, not handed back to the
+// worker that failed it. One worker fails every dispatch; the other answers
+// ok after about 20ms, so the failing worker is idle whenever a requeued
+// unit's backoff elapses. With one retry per unit, a retry back on the
+// failing worker would quarantine the unit while a healthy worker is live.
+func TestClusterRetryAvoidsFailingWorker(t *testing.T) {
+	failing := newFakeWorker(t, func(a AssignPayload, seen int) (int, ResultPayload) {
+		return http.StatusOK, ResultPayload{Unit: a.Unit, Hash: a.Hash, Attempt: a.Attempt,
+			Status: "failed", Err: "injected transient", Transient: true, Epoch: a.Epoch}
+	})
+	healthy := newFakeWorker(t, func(a AssignPayload, seen int) (int, ResultPayload) {
+		time.Sleep(20 * time.Millisecond)
+		return http.StatusOK, okResult(a, "")
+	})
+	opts := testOpts()
+	opts.Retries = 1
+	outcomes, stats, err := runCluster(t, opts, []*fakeWorker{failing, healthy}, mkUnits(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range outcomes {
+		if o.Status != journal.StatusOK {
+			t.Errorf("outcome %s: status %s after %d attempt(s) (%s), want ok",
+				o.Unit, o.Status, o.Attempts, o.Err)
+		}
+	}
+	if stats.Completed != 12 || stats.Quarantined != 0 {
+		t.Fatalf("stats: %+v", stats)
+	}
+}

@@ -1,18 +1,21 @@
 // Package cluster is the multi-process scale-out layer of Pallas: a
-// coordinator that shards corpus units across worker processes by content
-// hash, dispatches them with work stealing, and survives worker crashes,
-// hangs, and slow nodes without losing or double-recording a unit.
+// coordinator that hands corpus units to worker processes from one run
+// queue and survives worker crashes, hangs, and slow nodes without losing
+// or double-recording a unit. Which worker runs a unit does not matter:
+// workers share the -cache-dir disk tier (and, with -cache-peers, a peer
+// tier that routes entries by key), so a repeat run hits the cache
+// wherever its units land.
 //
 // The package provides four pieces:
 //
 //   - the wire frame codec (this file): length-framed, CRC-checked JSON
 //     messages carried inside HTTP bodies between coordinator and worker;
-//   - Ring: a consistent-hash ring routing each unit to a home worker, so
-//     repeat runs land units on the same worker's warm caches and the
-//     cluster's shared persistent rcache tier behaves as one cache;
-//   - Coordinator: the dispatch state machine (assignment, heartbeats,
-//     eviction, bounded retry/requeue, quarantine, duplicate-completion
-//     suppression, journaled exactly-once resume, deterministic merge);
+//   - Ring: a consistent-hash ring mapping keys to members, which the peer
+//     cache tier (internal/rcache/peer) uses to route entries to owners;
+//   - Coordinator: the dispatch state machine (one FIFO run queue that
+//     every live worker's lanes pull from, heartbeats, eviction, bounded
+//     retry/requeue, quarantine, duplicate-completion suppression,
+//     journaled exactly-once resume, deterministic merge);
 //   - Supervisor: spawns local worker processes and restarts crashed ones.
 //
 // The merge contract is the PR-5 guarantee lifted cluster-wide: the merged

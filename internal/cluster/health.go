@@ -6,13 +6,12 @@ package cluster
 // rot stalls a run without ever tripping eviction. Each worker therefore
 // carries a composite health score in [0, 1] — latency EWMA relative to the
 // fleet's best, a decayed error rate, and heartbeat age — recomputed every
-// scheduler tick. The score biases placement (enqueue prefers healthy
-// workers), gates work stealing (only healthy workers steal), and selects
-// hedge targets, so load drains away from a degrading worker *before* the
-// heartbeat would evict it. Crossing healthDemote puts a worker on
-// probation — one in-flight probe unit at a time, no stealing — and it must
-// recover past healthPromote to rejoin, the hysteresis gap preventing a
-// borderline worker from flapping in and out of rotation.
+// scheduler tick. The score selects hedge targets and decides probation, so
+// load drains away from a degrading worker *before* the heartbeat would
+// evict it. Crossing healthDemote puts a worker on probation — it pulls at
+// most one probe unit at a time from the run queue and is never a hedge
+// target — and it must recover past healthPromote to rejoin, the hysteresis
+// gap preventing a borderline worker from flapping in and out of rotation.
 
 import (
 	"sort"
@@ -133,18 +132,6 @@ func (c *Coordinator) updateHealthLocked(now time.Time) {
 	}
 	c.gHealthMin.Set(int64(minScore * 1000))
 	c.gProbation.Set(onProbation)
-}
-
-// hasHealthyLocked reports whether any live worker other than exclude is
-// off probation — the question every probation-avoidance path must ask
-// before diverting work, so a fully degraded fleet still makes progress.
-func (c *Coordinator) hasHealthyLocked(exclude string) bool {
-	for _, w := range c.workers {
-		if w.live && !w.h.probation && w.addr != exclude {
-			return true
-		}
-	}
-	return false
 }
 
 // latWindowSize bounds the completion-latency sample ring feeding the hedge

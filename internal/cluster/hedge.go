@@ -46,7 +46,7 @@ func (c *Coordinator) hedgeThresholdLocked() time.Duration {
 // hedgeScanLocked walks the in-flight tasks and launches hedge dispatches
 // for those past the threshold. Called from the scheduler tick under c.mu.
 func (c *Coordinator) hedgeScanLocked(now time.Time) {
-	if c.opts.HedgeAfter < 0 || c.opts.HedgeMax <= 0 || c.closed || c.hedgesOut >= c.opts.HedgeMax {
+	if c.opts.HedgeAfter < 0 || c.closed || c.hedgesOut >= c.opts.HedgeMax {
 		return
 	}
 	thr := c.hedgeThresholdLocked()

@@ -7,20 +7,19 @@ import (
 	"strconv"
 )
 
-// Ring is a consistent-hash ring mapping unit content hashes to worker
-// addresses. Each member is placed at ringReplicas pseudo-random points; a
-// key is owned by the first member point at or after the key's point. The
-// properties the cluster relies on:
+// Ring is a consistent-hash ring mapping cache keys to peer addresses — the
+// routing of the shared peer cache tier (internal/rcache/peer). Each member
+// is placed at ringReplicas pseudo-random points; a key is owned by the
+// first member point at or after the key's point. The properties the tier
+// relies on:
 //
 //   - stability: the same key maps to the same live member across runs, so
-//     a unit's repeat analyses land on the worker whose memory cache (and
-//     persistent-tier working set) is warm for it — the cluster presents
-//     one cache even though each worker fills its own tiers;
+//     every peer computes the same owners for an entry;
 //   - minimal disruption: removing a member only re-homes the keys it
-//     owned; every other key keeps its worker.
+//     owned; every other key keeps its owner.
 //
-// Ring is not safe for concurrent use; the Coordinator guards it with its
-// own mutex.
+// Ring is not safe for concurrent use; its user guards it with its own
+// mutex.
 type Ring struct {
 	replicas int
 	points   []ringPoint // sorted by hash

@@ -16,8 +16,10 @@ type statusHealth struct {
 }
 
 // statusVerbose is /healthz?verbose=1: the run counters plus the per-worker
-// table — queue depth, in-flight, completions, requeues, heartbeat misses
-// and last-beat age for every worker the coordinator has seen.
+// table — health state and score, in-flight, completions, requeues,
+// heartbeat misses and last-beat age for every worker the coordinator has
+// seen. There is no per-worker queue depth: pending units wait in the
+// coordinator's one run queue.
 type statusVerbose struct {
 	statusHealth
 	Stats   Stats          `json:"stats"`

@@ -57,7 +57,7 @@ const (
 	// liveness alone would miss.
 	MetricClusterWorkerHealthMin = "pallas_cluster_worker_health_min_x1000"
 	// MetricClusterProbations counts health-score demotions to probation
-	// (dispatch-biased-away, no stealing, single in-flight probe).
+	// (one in-flight probe unit at a time, never a hedge target).
 	MetricClusterProbations = "pallas_cluster_worker_probations_total"
 	// MetricClusterWorkersProbation gauges workers currently on probation.
 	MetricClusterWorkersProbation = "pallas_cluster_workers_probation"
