@@ -1,11 +1,9 @@
 package pallas
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -13,7 +11,6 @@ import (
 	"pallas/internal/guard"
 	"pallas/internal/incr"
 	"pallas/internal/journal"
-	"pallas/internal/overload"
 	"pallas/internal/rcache"
 	"pallas/internal/report"
 )
@@ -83,13 +80,6 @@ type BatchOptions struct {
 	// many-unit corpora prefer wide Workers with serial units; reserve
 	// AnalysisWorkers for a few large units.
 	Workers int
-	// MinWorkers, when > 0, makes the batch self-pacing: an adaptive
-	// limiter (the same AIMD machinery as `pallas serve`) watches per-unit
-	// latency and shrinks effective parallelism from Workers toward this
-	// floor when units slow down — e.g. the corpus hit its pathological
-	// tail, or the host is overcommitted — then grows back on recovery.
-	// 0 keeps the fixed-width pool.
-	MinWorkers int
 	// Retries is the maximum number of re-attempts for a unit that fails
 	// transiently (a recovered panic, a budget violation surfacing as an
 	// error, an injected failpoint fault). Deterministic malformed-input
@@ -222,7 +212,7 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 		stats.JournalTornTail = rec.TornTail
 		stats.JournalQuarantined = rec.Quarantined
 	} else if opts.Resume {
-		return nil, stats, errors.New("pallas: BatchOptions.Resume requires JournalPath")
+		return nil, stats, errors.New("BatchOptions.Resume requires JournalPath")
 	}
 	var cache *rcache.Cache
 	if opts.CacheDir != "" {
@@ -253,30 +243,8 @@ func (a *Analyzer) AnalyzeBatch(units []Unit, opts BatchOptions) ([]UnitResult, 
 		mu.Unlock()
 	}
 
-	// Self-pacing: with MinWorkers set, every unit passes through an
-	// admission controller whose effective width adapts to observed unit
-	// latency. The pool still provides the hard cap and panic isolation;
-	// the controller only narrows how many of its workers run at once.
-	var pacer *overload.Controller
-	if opts.MinWorkers > 0 {
-		width := opts.Workers
-		if width <= 0 {
-			width = runtime.GOMAXPROCS(0)
-		}
-		// No queue bound or deadline: batch units never shed, they just wait
-		// for the adapted width — Acquire with a zero deadline cannot fail.
-		pacer = overload.NewController(overload.NewLimiter(opts.MinWorkers, width), -1, nil)
-	}
-
 	guard.Pool(len(units), opts.Workers, func(i int) error {
 		u := units[i]
-		if pacer != nil {
-			if err := pacer.Acquire(context.Background(), time.Time{}); err != nil {
-				return err
-			}
-			unitStart := time.Now()
-			defer func() { pacer.Release(time.Since(unitStart)) }()
-		}
 		out[i].Unit = u.Name
 		hash := u.Hash()
 		if jr != nil && opts.Resume {

@@ -31,7 +31,6 @@ type chaosHealth struct {
 	CacheTier       string `json:"cache_tier"`
 	CacheDiskFaults int64  `json:"cache_disk_faults"`
 	BreakerTrips    int64  `json:"cache_breaker_trips"`
-	EffectiveLimit  int    `json:"effective_limit"`
 	Shed            struct {
 		QueueFull int64 `json:"queue_full"`
 	} `json:"shed"`
@@ -95,7 +94,6 @@ func TestServeChaosOverloadAndBreaker(t *testing.T) {
 		[]string{"PALLAS_FAILPOINTS=pre-parse=sleep:60ms;cache-store=error@3"},
 		"-cache-dir", t.TempDir(),
 		"-workers", fmt.Sprint(workers),
-		"-min-workers", "1",
 		"-max-queue", "-1", // strict-latency config: shed instead of queueing
 		"-breaker-threshold", "3",
 		"-breaker-cooldown", "300ms",

@@ -107,8 +107,7 @@ type serverFlags struct {
 func newServerFlags() *serverFlags {
 	s := &serverFlags{fs: flag.NewFlagSet("server", flag.ContinueOnError)}
 	fs := s.fs
-	fs.IntVar(&s.cfg.Workers, "workers", 0, "concurrent analyses per process (0 = GOMAXPROCS); ceiling of the adaptive limit")
-	fs.IntVar(&s.cfg.MinWorkers, "min-workers", 0, "adaptive concurrency floor under sustained latency inflation (0 = 1; equal to -workers disables adaptation)")
+	fs.IntVar(&s.cfg.Workers, "workers", 0, "concurrent analyses per process (0 = GOMAXPROCS); further requests wait in the admission queue")
 	fs.IntVar(&s.cfg.MaxQueue, "max-queue", 0, "admission queue bound; beyond it requests are shed with 503 (0 = 256, negative = no queueing)")
 	fs.Float64Var(&s.cfg.RatePerClient, "rate", 0, "per-client request rate limit in req/s, keyed by X-Pallas-Client or remote host (0 = unlimited)")
 	fs.Float64Var(&s.cfg.RateBurst, "rate-burst", 0, "per-client burst size (0 = the rate)")
@@ -172,7 +171,6 @@ type batchFlags struct {
 func newBatchFlags() *batchFlags {
 	b := &batchFlags{fs: flag.NewFlagSet("batch", flag.ContinueOnError)}
 	b.fs.IntVar(&b.opts.Workers, "workers", 0, "parallel workers for multiple files (0 = GOMAXPROCS)")
-	b.fs.IntVar(&b.opts.MinWorkers, "min-workers", 0, "self-pace: shrink parallelism toward this floor when per-file latency inflates (0 = fixed width)")
 	b.fs.IntVar(&b.opts.Retries, "retries", 0, "retry transient per-file failures up to n times with exponential backoff")
 	b.fs.StringVar(&b.opts.JournalPath, "journal", "", "checkpoint per-file outcomes to this append-only journal (JSONL)")
 	b.fs.BoolVar(&b.opts.Resume, "resume", false, "skip files whose content hash already has a terminal journal entry (requires -journal)")

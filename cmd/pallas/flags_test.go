@@ -97,6 +97,19 @@ func TestClusterHedgeMaxBelowOneIsUsageError(t *testing.T) {
 	}
 }
 
+// TestMinWorkersFlagRemoved: admission runs at the fixed width -workers, so
+// -min-workers is an undefined flag on every command that once took it,
+// refused with exit 2 before any input is read or any port bound.
+func TestMinWorkersFlagRemoved(t *testing.T) {
+	bin := buildPallas(t)
+	for _, cmd := range []string{"check", "serve", "worker"} {
+		_, stderr, code := runPallas(t, bin, nil, cmd, "-min-workers", "1", "missing.c")
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -min-workers") {
+			t.Errorf("%s -min-workers 1: exit %d, stderr %q; want exit 2 and an undefined-flag error", cmd, code, stderr)
+		}
+	}
+}
+
 // TestIncrFlagsAliasCacheFlags: the memo keeps its records in the result
 // cache, so -incr-dir and -incr-bytes each turn the memo on and set
 // -cache-dir or -cache-bytes; an alias and its cache flag given different

@@ -102,8 +102,7 @@ func usage() {
 commands:
   check    [-spec file] [-checker name] [-json] [-html out]
            [-precision fast|balanced|strict]
-           [-timeout d] [-keep-going] [-workers n] [-min-workers n]
-           [-analysis-workers n]
+           [-timeout d] [-keep-going] [-workers n] [-analysis-workers n]
            [-journal file] [-resume] [-retries n] [-group-commit]
            [-cache-dir dir] [-cache-bytes n]
            [-incr-dir dir] [-incr-bytes n] [-cache-stats]
@@ -123,7 +122,7 @@ commands:
   serve    [-addr host:port] [-checker name] [-precision fast|balanced|strict]
            [-timeout d] [-keep-going] [-analysis-workers n]
            [-incr-dir dir] [-incr-bytes n] [-include-dir dir]
-           [-workers n] [-min-workers n] [-max-queue n]
+           [-workers n] [-max-queue n]
            [-rate r] [-rate-burst n] [-global-rate r] [-global-burst n]
            [-breaker-threshold n] [-breaker-cooldown d]
            [-cache-dir dir] [-cache-bytes n] [-cache-peers host:port]

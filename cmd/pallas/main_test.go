@@ -230,6 +230,32 @@ func TestCmdErrors(t *testing.T) {
 	}
 }
 
+// TestCLIErrorsPrefixedOnce: main prints a command's error behind one
+// "pallas:"; the analyzer's own errors carry no prefix.
+func TestCLIErrorsPrefixedOnce(t *testing.T) {
+	bin := buildPallas(t)
+	file := writeSample(t)
+	spec := filepath.Join(filepath.Dir(file), "nope.spec")
+	if err := os.WriteFile(spec, []byte("fastpath nope\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const msg = `checkers: spec names unknown function "nope"`
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"paths", "-func", "nope", file}, 1, "pallas: " + msg + "\n"},
+		{[]string{"check", "-spec", spec, file}, 3,
+			"pallas: sample.c: " + msg + "\n" + "pallas: sample.c: error[batch]: " + msg + "\n"},
+	} {
+		_, stderr, code := runPallas(t, bin, nil, tc.args...)
+		if code != tc.code || stderr != tc.stderr {
+			t.Errorf("%s: exit %d, stderr\n%s\nwant exit %d, stderr\n%s", tc.args[0], code, stderr, tc.code, tc.stderr)
+		}
+	}
+}
+
 func TestCmdCorpusExport(t *testing.T) {
 	dir := t.TempDir()
 	out, err := capture(t, func() error {

@@ -23,7 +23,7 @@ import (
 // ephemeral port, advertises the bound address to the cache tier and
 // announces it on stderr as "pallas: worker listening on ADDR" so the
 // supervisor can find it; the cluster dispatch endpoint (/v1/cluster/unit)
-// shares its result cache, admission control and gate with plain serve
+// shares its result cache and admission control with plain serve
 // traffic. SIGTERM/SIGINT starts a graceful drain — /healthz flips to 503,
 // new analyze requests are refused, in-flight ones finish — and the
 // process exits 0.

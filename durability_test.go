@@ -284,41 +284,3 @@ func TestDiagnosticError(t *testing.T) {
 		t.Fatalf("Error()=%q String()=%q want %q", err.Error(), d.String(), want)
 	}
 }
-
-// TestBatchSelfPacing runs a batch through the adaptive pacer (MinWorkers
-// set): with injected per-unit latency every unit must still complete
-// correctly and in order — the pacer may narrow parallelism, never drop or
-// reorder work.
-func TestBatchSelfPacing(t *testing.T) {
-	t.Cleanup(failpoint.Disarm)
-	if err := failpoint.Arm("pre-parse=sleep:5ms"); err != nil {
-		t.Fatal(err)
-	}
-	units := make([]Unit, 12)
-	for i := range units {
-		name := "p" + string(rune('a'+i)) + ".c"
-		units[i] = Unit{
-			Name:   name,
-			Source: strings.ReplaceAll(durableSrc, "get_fast", "fast_"+string(rune('a'+i))),
-		}
-	}
-	a := New(Config{})
-	out, stats, err := a.AnalyzeBatch(units, BatchOptions{Workers: 4, MinWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Analyzed != len(units) {
-		t.Fatalf("analyzed = %d, want %d", stats.Analyzed, len(units))
-	}
-	for i, r := range out {
-		if r.Unit != units[i].Name {
-			t.Fatalf("result %d out of order: %q", i, r.Unit)
-		}
-		if r.Err != nil {
-			t.Fatalf("unit %s failed under pacing: %v", r.Unit, r.Err)
-		}
-		if len(r.Result.Report.Warnings) == 0 {
-			t.Fatalf("unit %s lost its seeded warning", r.Unit)
-		}
-	}
-}

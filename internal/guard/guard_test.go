@@ -260,60 +260,3 @@ func TestPoolConcurrentWrites(t *testing.T) {
 		}
 	}
 }
-
-func TestGateBoundsConcurrency(t *testing.T) {
-	g := NewGate(3)
-	if g.Cap() != 3 {
-		t.Fatalf("cap = %d, want 3", g.Cap())
-	}
-	var mu sync.Mutex
-	cur, peak := 0, 0
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.Do(StageServe, "u", func() error {
-				mu.Lock()
-				cur++
-				if cur > peak {
-					peak = cur
-				}
-				mu.Unlock()
-				time.Sleep(2 * time.Millisecond)
-				mu.Lock()
-				cur--
-				mu.Unlock()
-				return nil
-			})
-		}()
-	}
-	wg.Wait()
-	if peak > 3 {
-		t.Fatalf("peak concurrency = %d, want <= 3", peak)
-	}
-	if g.InFlight() != 0 {
-		t.Fatalf("in-flight after drain = %d, want 0", g.InFlight())
-	}
-}
-
-func TestGateIsolatesPanics(t *testing.T) {
-	g := NewGate(2)
-	err := g.Do(StageServe, "evil.c", func() error { panic("boom") })
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Unit != "evil.c" {
-		t.Fatalf("want *PanicError for evil.c, got %v", err)
-	}
-	// The slot was released: the gate still admits work afterwards.
-	done := make(chan struct{})
-	go func() {
-		g.Do(StageServe, "ok.c", func() error { return nil })
-		g.Do(StageServe, "ok2.c", func() error { return nil })
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("gate wedged after a panic (slot leaked)")
-	}
-}

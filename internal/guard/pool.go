@@ -1,13 +1,9 @@
 package guard
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Pool runs fn(i) for every i in [0, n) on a bounded worker pool and returns
@@ -60,125 +56,3 @@ func PoolNamed(stage Stage, n, workers int, name func(i int) string, fn func(i i
 	wg.Wait()
 	return errs
 }
-
-// ErrGateDraining is returned by Gate.Acquire (and Gate.Do) once
-// Gate.Drain has been called: the gate admits no further work while it
-// waits for in-flight units to finish.
-var ErrGateDraining = errors.New("guard: gate draining")
-
-// Gate is the long-lived admission pool behind the analysis server: where
-// Pool runs a known batch to completion, a Gate bounds how many units of
-// work from an open-ended request stream run concurrently. Each admitted
-// unit runs under the same panic isolation as Pool items, so a hostile
-// request can slow its own slot but never take down the process or starve
-// the gate. The zero Gate is not usable; call NewGate.
-type Gate struct {
-	sem       chan struct{}
-	inflight  atomic.Int64
-	drainCh   chan struct{} // closed by Drain; gates new admissions
-	drainOnce sync.Once
-}
-
-// NewGate returns a gate admitting at most workers concurrent units;
-// workers <= 0 means GOMAXPROCS.
-func NewGate(workers int) *Gate {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Gate{sem: make(chan struct{}, workers), drainCh: make(chan struct{})}
-}
-
-// Acquire blocks until a slot frees, the context is done, or the gate
-// starts draining. On nil return the caller holds a slot and must call
-// Release exactly once. nil ctx means context.Background().
-func (g *Gate) Acquire(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-g.drainCh:
-		return ErrGateDraining
-	default:
-	}
-	select {
-	case g.sem <- struct{}{}:
-		// Count the slot before re-checking the drain flag: either this
-		// acquirer sees the drain and backs out, or Drain's quiescence poll
-		// sees the raised in-flight count and waits — never both missing.
-		g.inflight.Add(1)
-		select {
-		case <-g.drainCh:
-			g.inflight.Add(-1)
-			<-g.sem
-			return ErrGateDraining
-		default:
-		}
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-g.drainCh:
-		return ErrGateDraining
-	}
-}
-
-// Release returns a slot taken by a successful Acquire.
-func (g *Gate) Release() {
-	g.inflight.Add(-1)
-	<-g.sem
-}
-
-// Do blocks until a slot frees, then runs fn panic-isolated (a panic
-// surfaces as a *PanicError, as with Protect). The slot is released when fn
-// returns. Returns ErrGateDraining without running fn once Drain started.
-func (g *Gate) Do(stage Stage, unit string, fn func() error) error {
-	return g.DoContext(nil, stage, unit, fn)
-}
-
-// DoContext is Do with a cancelable acquisition: a caller abandoned while
-// waiting for a slot (client disconnect, request deadline) unblocks with the
-// context's error instead of occupying the queue until a slot frees for work
-// nobody wants anymore. Once fn is running, cancellation no longer
-// interrupts it — the unit's own analysis budget bounds the slot hold time.
-// nil ctx means context.Background().
-func (g *Gate) DoContext(ctx context.Context, stage Stage, unit string, fn func() error) error {
-	if err := g.Acquire(ctx); err != nil {
-		return err
-	}
-	defer g.Release()
-	return Protect(stage, unit, fn)
-}
-
-// Drain stops all further admissions (Acquire and Do return
-// ErrGateDraining) and blocks until every in-flight unit has released its
-// slot or ctx is done. Safe to call multiple times and concurrently; every
-// call waits for quiescence. nil ctx means context.Background().
-func (g *Gate) Drain(ctx context.Context) error {
-	g.drainOnce.Do(func() { close(g.drainCh) })
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for g.inflight.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(500 * time.Microsecond):
-		}
-	}
-	return nil
-}
-
-// Draining reports whether Drain has been called.
-func (g *Gate) Draining() bool {
-	select {
-	case <-g.drainCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// InFlight returns the number of units currently admitted.
-func (g *Gate) InFlight() int64 { return g.inflight.Load() }
-
-// Cap returns the gate's concurrency bound.
-func (g *Gate) Cap() int { return cap(g.sem) }

@@ -1,3 +1,21 @@
+// Package overload is the admission-control layer in front of the Pallas
+// analysis engine (`pallas serve` and cluster workers). It has three
+// primitives:
+//
+//   - Controller: a fixed-width, bounded, deadline-aware admission queue —
+//     requests beyond the width wait FIFO, are shed when the queue is full or
+//     their deadline cannot be met, and expired waiters are reaped before
+//     dispatch;
+//   - RateLimiter: per-client token buckets plus a global bucket, so one
+//     chatty client cannot monopolize the queue;
+//   - Breaker: a three-state circuit breaker (closed / open / half-open)
+//     used to trip the persistent cache tier to memory-only mode on disk
+//     faults instead of failing requests.
+//
+// The design goal: under a burst of slow, adversarial analyses the server
+// sheds a bounded fraction of load with honest Retry-After hints and keeps
+// admitted-request latency near the unloaded baseline, instead of queueing
+// unboundedly and blowing every deadline.
 package overload
 
 import (
@@ -40,14 +58,18 @@ type ShedStats struct {
 	Canceled  int64 `json:"canceled"`
 }
 
+// recentAlpha is the EWMA weight of the newest service-latency sample in the
+// estimate behind shed-on-arrival and Retry-After.
+const recentAlpha = 0.3
+
 // Controller is the bounded, deadline-aware admission queue in front of the
-// analysis gate. At most Limiter.Limit() requests are admitted concurrently;
-// up to maxQueue more wait FIFO. A request is shed — never silently parked —
+// analysis engine. At most width requests are admitted concurrently; up to
+// maxQueue more wait FIFO. A request is shed — never silently parked —
 // when the queue is full, when its deadline has passed or provably cannot be
 // met, or when the controller is draining. Expired waiters are reaped at
 // dispatch time so a dead request never consumes a freed slot.
 type Controller struct {
-	limiter  *Limiter
+	width    int
 	maxQueue int
 	now      func() time.Time
 
@@ -56,21 +78,22 @@ type Controller struct {
 	queue    []*waiter
 	draining bool
 	admitted int64
+	recent   float64 // EWMA of service latency, seconds; 0 until the first Release
 
 	mQueueFull, mDeadline, mDraining, mCanceled *metrics.Counter
 }
 
-// NewController returns a controller admitting through limiter with at most
-// maxQueue waiting requests (maxQueue < 0 means unbounded, 0 means no
-// queueing — shed as soon as the limit is reached). The shed counters
+// NewController returns a controller admitting width concurrent requests
+// (at least 1) with at most maxQueue waiting (<= 0 means no queueing — shed
+// as soon as every slot is taken). The shed counters
 // (pallas_shed_*) live in reg, which is also what Shed reads; nil means a
 // registry of the controller's own.
-func NewController(limiter *Limiter, maxQueue int, reg *metrics.Registry) *Controller {
+func NewController(width, maxQueue int, reg *metrics.Registry) *Controller {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	return &Controller{
-		limiter: limiter, maxQueue: maxQueue, now: time.Now,
+		width: max(width, 1), maxQueue: maxQueue, now: time.Now,
 		mQueueFull: reg.Counter(metrics.MetricShedQueueFull, "requests shed: admission queue full"),
 		mDeadline:  reg.Counter(metrics.MetricShedDeadline, "requests shed: deadline unmeetable"),
 		mDraining:  reg.Counter(metrics.MetricShedDraining, "requests shed: draining"),
@@ -99,13 +122,13 @@ func (c *Controller) Acquire(ctx context.Context, deadline time.Time) error {
 		c.mu.Unlock()
 		return ErrDeadline
 	}
-	if c.inflight < c.limiter.Limit() && len(c.queue) == 0 {
+	if c.inflight < c.width && len(c.queue) == 0 {
 		c.inflight++
 		c.admitted++
 		c.mu.Unlock()
 		return nil
 	}
-	if c.maxQueue >= 0 && len(c.queue) >= c.maxQueue {
+	if len(c.queue) >= c.maxQueue {
 		c.mQueueFull.Inc()
 		c.mu.Unlock()
 		return ErrQueueFull
@@ -170,11 +193,16 @@ func (c *Controller) abandon(w *waiter, reason error) error {
 }
 
 // Release returns a slot. latency is the request's service time (admission
-// to completion); it feeds the adaptive limiter, which may shrink or grow
-// the effective limit before the next waiter is dispatched.
+// to completion); it feeds the latency estimate behind shed-on-arrival and
+// Retry-After.
 func (c *Controller) Release(latency time.Duration) {
-	c.limiter.Observe(latency)
+	sec := max(latency.Seconds(), 0)
 	c.mu.Lock()
+	if c.recent == 0 {
+		c.recent = sec
+	} else {
+		c.recent = c.recent*(1-recentAlpha) + sec*recentAlpha
+	}
 	c.inflight--
 	c.dispatchLocked()
 	c.mu.Unlock()
@@ -183,9 +211,8 @@ func (c *Controller) Release(latency time.Duration) {
 // dispatchLocked admits queued waiters while slots are free, reaping
 // expired waiters instead of dispatching them. c.mu must be held.
 func (c *Controller) dispatchLocked() {
-	limit := c.limiter.Limit()
 	now := c.now()
-	for len(c.queue) > 0 && c.inflight < limit {
+	for len(c.queue) > 0 && c.inflight < c.width {
 		w := c.queue[0]
 		c.queue = c.queue[1:]
 		if w.hasDeadline && now.After(w.deadline) {
@@ -214,19 +241,14 @@ func (c *Controller) Drain() {
 }
 
 // estimateLocked predicts the queue wait for a request entering at the
-// given queue position: requests drain at limit per recent-latency.
+// given queue position: requests drain at width per recent latency.
 // c.mu must be held.
 func (c *Controller) estimateLocked(position int) time.Duration {
-	recent := c.limiter.RecentLatency()
-	if recent == 0 {
+	if c.recent == 0 {
 		return 0 // no samples yet: admit optimistically
 	}
-	limit := c.limiter.Limit()
-	if limit < 1 {
-		limit = 1
-	}
-	waves := float64(position)/float64(limit) + 1
-	return time.Duration(waves * recent * float64(time.Second))
+	waves := float64(position)/float64(c.width) + 1
+	return time.Duration(waves * c.recent * float64(time.Second))
 }
 
 // RetryAfter estimates how long a shed caller should wait before retrying:
@@ -256,8 +278,8 @@ func (c *Controller) InFlight() int {
 	return c.inflight
 }
 
-// EffectiveLimit returns the limiter's current effective concurrency.
-func (c *Controller) EffectiveLimit() int { return c.limiter.Limit() }
+// Width returns how many requests may hold a slot at once.
+func (c *Controller) Width() int { return c.width }
 
 // Admitted returns how many requests have been admitted in total.
 func (c *Controller) Admitted() int64 {

@@ -9,66 +9,6 @@ import (
 	"time"
 )
 
-// --- Limiter ---
-
-func TestLimiterStartsAtMaxAndHoldsUnderFlatLatency(t *testing.T) {
-	l := NewLimiter(2, 8)
-	if l.Limit() != 8 {
-		t.Fatalf("initial limit = %d, want 8", l.Limit())
-	}
-	for i := 0; i < 10*DefaultWindow; i++ {
-		l.Observe(10 * time.Millisecond)
-	}
-	if l.Limit() != 8 {
-		t.Fatalf("flat-latency limit = %d, want 8 (no reason to shrink)", l.Limit())
-	}
-}
-
-func TestLimiterShrinksUnderInflatedLatencyAndRespectsFloor(t *testing.T) {
-	l := NewLimiter(2, 8)
-	// Anchor the baseline at 10ms.
-	for i := 0; i < DefaultWindow; i++ {
-		l.Observe(10 * time.Millisecond)
-	}
-	// Then blow past tolerance × baseline for many windows.
-	for i := 0; i < 50*DefaultWindow; i++ {
-		l.Observe(200 * time.Millisecond)
-	}
-	if got := l.Limit(); got != 2 {
-		t.Fatalf("inflated-latency limit = %d, want floor 2", got)
-	}
-}
-
-func TestLimiterGrowsBackAfterRecovery(t *testing.T) {
-	l := NewLimiter(1, 6)
-	for i := 0; i < DefaultWindow; i++ {
-		l.Observe(10 * time.Millisecond)
-	}
-	for i := 0; i < 50*DefaultWindow; i++ {
-		l.Observe(500 * time.Millisecond)
-	}
-	if l.Limit() != 1 {
-		t.Fatalf("limit = %d, want 1 before recovery", l.Limit())
-	}
-	// Latency returns to baseline: additive increase climbs back to max.
-	for i := 0; i < 20*DefaultWindow; i++ {
-		l.Observe(10 * time.Millisecond)
-	}
-	if l.Limit() != 6 {
-		t.Fatalf("recovered limit = %d, want 6", l.Limit())
-	}
-}
-
-func TestLimiterClampsConstructorArgs(t *testing.T) {
-	l := NewLimiter(0, 0)
-	if l.Min() != 1 || l.Max() != 1 || l.Limit() != 1 {
-		t.Fatalf("min/max/limit = %d/%d/%d, want 1/1/1", l.Min(), l.Max(), l.Limit())
-	}
-	if l := NewLimiter(9, 4); l.Min() != 4 {
-		t.Fatalf("min clamped to %d, want 4 (<= max)", l.Min())
-	}
-}
-
 // --- Breaker ---
 
 // testClock is an injectable manual clock.
@@ -286,7 +226,7 @@ func TestRateLimiterEvictsIdleClients(t *testing.T) {
 // --- Controller ---
 
 func TestControllerAdmitsUpToLimitThenQueues(t *testing.T) {
-	c := NewController(NewLimiter(2, 2), 8, nil)
+	c := NewController(2, 8, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +251,7 @@ func TestControllerAdmitsUpToLimitThenQueues(t *testing.T) {
 }
 
 func TestControllerShedsWhenQueueFull(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 1, nil)
+	c := NewController(1, 1, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +267,7 @@ func TestControllerShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestControllerShedsExpiredDeadlineOnArrival(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 4, nil)
+	c := NewController(1, 4, nil)
 	err := c.Acquire(nil, time.Now().Add(-time.Second))
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
@@ -335,7 +275,7 @@ func TestControllerShedsExpiredDeadlineOnArrival(t *testing.T) {
 }
 
 func TestControllerShedsUnmeetableDeadlineWhileQueued(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 4, nil)
+	c := NewController(1, 4, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +297,7 @@ func TestControllerShedsUnmeetableDeadlineWhileQueued(t *testing.T) {
 }
 
 func TestControllerReapsExpiredWaitersBeforeDispatch(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 4, nil)
+	c := NewController(1, 4, nil)
 	c.now = time.Now
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
@@ -383,7 +323,7 @@ func TestControllerReapsExpiredWaitersBeforeDispatch(t *testing.T) {
 }
 
 func TestControllerDrainRejectsQueuedImmediately(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 8, nil)
+	c := NewController(1, 8, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +356,7 @@ func TestControllerDrainRejectsQueuedImmediately(t *testing.T) {
 }
 
 func TestControllerContextCancelRemovesWaiter(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 8, nil)
+	c := NewController(1, 8, nil)
 	if err := c.Acquire(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +380,7 @@ func TestControllerContextCancelRemovesWaiter(t *testing.T) {
 }
 
 func TestControllerRetryAfterIsPositive(t *testing.T) {
-	c := NewController(NewLimiter(1, 1), 8, nil)
+	c := NewController(1, 8, nil)
 	if c.RetryAfter() <= 0 {
 		t.Fatal("retry-after must be positive before any sample")
 	}
@@ -455,11 +395,11 @@ func TestControllerRetryAfterIsPositive(t *testing.T) {
 
 // TestControllerHammer races many acquirers against releases, cancels,
 // deadline expiries and a late drain; under -race it proves the accounting
-// invariants: inflight never exceeds the ceiling or goes negative, and
+// invariants: inflight never exceeds the width or goes negative, and
 // every admission is eventually released.
 func TestControllerHammer(t *testing.T) {
 	const workers, goroutines = 4, 64
-	c := NewController(NewLimiter(2, workers), 16, nil)
+	c := NewController(workers, 16, nil)
 	var peak, neg atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -65,7 +65,7 @@ const (
 
 // GetPath and PutPath are the HTTP endpoints peers call on each other,
 // hosted by each worker's serve engine on its main listener (so peer ops
-// share the gate/admission path with every other request).
+// share the admission path with every other request).
 const (
 	GetPath = "/v1/cluster/cache/get"
 	PutPath = "/v1/cluster/cache/put"

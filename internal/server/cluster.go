@@ -3,7 +3,7 @@ package server
 // Cluster-worker endpoints: the same Server that fronts /v1/analyze also
 // speaks the coordinator's framed wire protocol, so a worker process is
 // just `pallas serve` with an advertised address — one admission-control
-// path, one gate, one cache for both kinds of traffic.
+// path, one cache for both kinds of traffic.
 //
 //	POST /v1/cluster/unit  one framed unit assignment → one framed result
 //	GET  /v1/cluster/ping  heartbeat (JSON; 503 while draining)
@@ -76,7 +76,7 @@ func (s *Server) handleClusterPing(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, code, cluster.PongPayload{
 		Status:        status,
-		InFlight:      s.gate.InFlight(),
+		InFlight:      int64(s.ctrl.InFlight()),
 		QueueDepth:    s.ctrl.QueueDepth(),
 		UnitsDone:     s.clusterDone.Load(),
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
@@ -138,7 +138,7 @@ func (s *Server) handleClusterUnit(w http.ResponseWriter, r *http.Request) {
 	s.syncGauges()
 
 	unit := pallas.Unit{Name: assign.Unit, Source: assign.Source, Spec: assign.Spec}
-	entry, hit, err := s.clusterEntry(r, unit)
+	entry, hit, err := s.clusterEntry(unit)
 	if err != nil && errors.Is(err, rcache.ErrPersist) && entry != nil {
 		s.mPersistFault.Inc()
 		err = nil
@@ -187,10 +187,10 @@ func (s *Server) handleClusterUnit(w http.ResponseWriter, r *http.Request) {
 // cached entry stored by plain serve traffic has no Paths (reports only);
 // such a hit is upgraded in place — recomputed with paths and re-stored —
 // so the shared cache converges to the richer shape.
-func (s *Server) clusterEntry(r *http.Request, unit pallas.Unit) (*rcache.Entry, bool, error) {
+func (s *Server) clusterEntry(unit pallas.Unit) (*rcache.Entry, bool, error) {
 	key := s.analyzer.CacheKey(unit)
 	entry, hit, err := s.cache.GetOrCompute(key, func() (*rcache.Entry, error) {
-		return s.computeUnit(r.Context(), unit, key, true)
+		return s.computeUnit(unit, key, true)
 	})
 	if err != nil {
 		return entry, hit, err
@@ -204,7 +204,7 @@ func (s *Server) clusterEntry(r *http.Request, unit pallas.Unit) (*rcache.Entry,
 	} else if !hit || len(entry.Paths) > 0 {
 		return entry, hit, nil
 	}
-	upgraded, err := s.analyzeUnit(r.Context(), unit, key, true)
+	upgraded, err := s.analyzeUnit(unit, key, true)
 	if err != nil {
 		return nil, false, err
 	}

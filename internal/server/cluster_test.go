@@ -14,7 +14,6 @@ import (
 	"pallas"
 	"pallas/internal/cluster"
 	"pallas/internal/failpoint"
-	"pallas/internal/guard"
 	"pallas/internal/metrics"
 	"pallas/internal/rcache"
 )
@@ -120,9 +119,10 @@ func TestClusterUnitUpgradesPathlessCacheEntry(t *testing.T) {
 }
 
 // TestClusterUnitFailedPathFillIsNotCached: a memo-replayed verdict derives
-// its path database when a cluster dispatch first reads it, inside the
-// gate. When that derivation fails, the dispatch fails and the cache keeps
-// no empty database as a clean result; the next dispatch derives it.
+// its path database when a cluster dispatch first reads it, inside its
+// admission slot. When that derivation fails, the dispatch fails and the
+// cache keeps no empty database as a clean result; the next dispatch
+// derives it.
 func TestClusterUnitFailedPathFillIsNotCached(t *testing.T) {
 	// MaxPaths 1 truncates fast_path, and truncated functions have no memo
 	// record, so the replayed verdict's fill must extract it again.
@@ -281,60 +281,19 @@ func TestClusterPing(t *testing.T) {
 	}
 }
 
-// TestAnalyzeCanceledRequestReleasesGate is the client-disconnect
-// regression test: a request whose context is canceled while waiting for a
-// gate slot must abandon the analysis (context error surfaces) instead of
-// holding or leaking the slot.
-func TestAnalyzeCanceledRequestReleasesGate(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s := newTestServer(t, Config{Workers: 1, MinWorkers: 1, Metrics: reg})
-
-	// Occupy the single gate slot so the next analysis queues on Acquire.
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	go s.gate.Do(guard.StageServe, "blocker", func() error {
-		close(entered)
-		<-block
-		return nil
-	})
-	<-entered
-	defer close(block)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // the client is already gone
-	unit := pallas.Unit{Name: "canceled.c", Source: testSource, Spec: testSpec}
-	start := time.Now()
-	_, err := s.analyzeOne(ctx, unit, s.analyzer.CacheKey(unit))
-	if err == nil {
-		t.Fatal("canceled request ran the analysis")
-	}
-	if !strings.Contains(err.Error(), context.Canceled.Error()) {
-		t.Fatalf("want context cancellation surfaced, got: %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("cancellation did not release promptly (%s)", time.Since(start))
-	}
-	if got := s.gate.InFlight(); got != 1 {
-		t.Fatalf("gate slots leaked: in-flight %d, want 1 (the blocker)", got)
-	}
-}
-
-// TestAnalyzeCanceledHTTPRequest drives the same property end to end over
-// HTTP: killing the connection mid-queue must not wedge the worker slot.
+// TestAnalyzeCanceledHTTPRequest is the client-disconnect regression test:
+// a request whose connection dies while it waits for the one admission slot
+// must leave the queue (counted as canceled), never take or leak the slot,
+// and the next request must be served.
 func TestAnalyzeCanceledHTTPRequest(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MinWorkers: 1})
+	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	go s.gate.Do(guard.StageServe, "blocker", func() error {
-		close(entered)
-		<-block
-		return nil
-	})
-	<-entered
-
+	// Hold the one slot so the request below queues.
+	if err := s.ctrl.Acquire(context.Background(), time.Time{}); err != nil {
+		t.Fatal(err)
+	}
 	body, _ := json.Marshal(AnalyzeRequest{Name: "x.c", Source: testSource, Spec: testSpec})
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
@@ -347,24 +306,19 @@ func TestAnalyzeCanceledHTTPRequest(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	close(block)
-	// The blocker drains; the canceled request must not occupy the slot, so
-	// a fresh request succeeds promptly.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-		if err == nil {
-			ok := resp.StatusCode == http.StatusOK
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if ok {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server wedged after canceled request")
-		}
-		time.Sleep(50 * time.Millisecond)
+	waitFor(t, "canceled request to leave the queue", func() bool {
+		return s.ctrl.QueueDepth() == 0 && s.ctrl.Shed().Canceled == 1
+	})
+	if got := s.ctrl.InFlight(); got != 1 {
+		t.Fatalf("in-flight = %d, want 1 (only the test's own slot)", got)
+	}
+	s.ctrl.Release(0)
+
+	if resp, out := postAnalyze(t, ts.URL, AnalyzeRequest{Name: "x.c", Source: testSource, Spec: testSpec}); resp.StatusCode != http.StatusOK || out.Cache != "miss" {
+		t.Fatalf("request after the canceled one: status %d, cache %q; want 200, miss", resp.StatusCode, out.Cache)
+	}
+	if got := s.ctrl.InFlight(); got != 0 {
+		t.Fatalf("in-flight = %d after the last request, want 0", got)
 	}
 }
 

@@ -249,18 +249,15 @@ func goldenScript(t *testing.T, h http.Handler) {
 	}
 }
 
-// timingGauges vary with latency or GOMAXPROCS, not with the script.
-var timingGauges = map[string]bool{MetricEffectiveLimit: true}
-
 // maskExposition keeps every # HELP/# TYPE line and counter value, and masks
-// histogram buckets and sums and the timing-dependent gauges.
+// histogram buckets and sums, which vary with latency.
 func maskExposition(expo string) string {
 	var b strings.Builder
 	for _, line := range strings.SplitAfter(expo, "\n") {
 		name, _, _ := strings.Cut(line, " ")
 		switch {
 		case strings.HasPrefix(line, "#"):
-		case strings.HasSuffix(name, "_sum"), strings.Contains(name, "_bucket{"), timingGauges[name]:
+		case strings.HasSuffix(name, "_sum"), strings.Contains(name, "_bucket{"):
 			line = name + " <masked>\n"
 		}
 		b.WriteString(line)

@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -195,6 +197,62 @@ func TestServeDeadlineShed(t *testing.T) {
 	}
 }
 
+// TestServeShedsOnlyBeyondCapacity offers simultaneous bursts of 1x, 4x and
+// 16x the admission capacity (4 workers, 4 queue slots, 20ms per analysis):
+// the 1x burst sheds nothing, the 16x burst sheds something, every shed is
+// a 503 with Retry-After, and no other status appears.
+func TestServeShedsOnlyBeyondCapacity(t *testing.T) {
+	if err := failpoint.Arm("pre-parse=sleep:20ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disarm()
+
+	const workers = 4
+	s := newTestServer(t, Config{Workers: workers, MaxQueue: workers})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	shed := map[int]int{}
+	for _, mult := range []int{1, 4, 16} {
+		offered := mult * workers
+		codes := make([]int, offered)
+		retry := make([]string, offered)
+		var wg sync.WaitGroup
+		for i := range codes {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				fn := fmt.Sprintf("l%dx_%d", mult, i)
+				resp, _ := postWithClient(t, ts.URL, "", AnalyzeRequest{
+					Name:   fn + ".c",
+					Source: strings.ReplaceAll(testSource, "fast_path", fn),
+					Spec:   strings.ReplaceAll(testSpec, "fast_path", fn),
+				})
+				codes[i], retry[i] = resp.StatusCode, resp.Header.Get("Retry-After")
+			}(i)
+		}
+		wg.Wait()
+		for i, code := range codes {
+			switch code {
+			case http.StatusOK:
+			case http.StatusServiceUnavailable:
+				shed[mult]++
+				if retry[i] == "" {
+					t.Errorf("load %dx request %d: shed without Retry-After", mult, i)
+				}
+			default:
+				t.Fatalf("load %dx request %d: status %d, want 200 or 503", mult, i, code)
+			}
+		}
+	}
+	if shed[1] != 0 {
+		t.Fatalf("1x load shed %d requests", shed[1])
+	}
+	if shed[16] == 0 {
+		t.Fatal("16x load shed nothing: admission control not engaging")
+	}
+}
+
 // TestServeRateLimit checks the per-client token bucket: one client
 // exhausting its burst gets 429 with a Retry-After hint while a different
 // client is still served, and the shed metric moves.
@@ -237,10 +295,10 @@ func TestServeRateLimit(t *testing.T) {
 	}
 }
 
-// TestServeVerboseHealthz checks the operator view: queue/limiter/breaker
-// detail appears only with ?verbose=1 and reflects reality.
+// TestServeVerboseHealthz checks the operator view: queue/breaker detail
+// appears only with ?verbose=1 and reflects reality.
 func TestServeVerboseHealthz(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 4, MinWorkers: 2, MaxQueue: 7,
+	s := newTestServer(t, Config{Workers: 4, MaxQueue: 7,
 		Analyzer: pallas.Config{AnalysisWorkers: 3}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -254,7 +312,7 @@ func TestServeVerboseHealthz(t *testing.T) {
 	}
 	pb, _ := io.ReadAll(plain.Body)
 	plain.Body.Close()
-	if strings.Contains(string(pb), "effective_limit") {
+	if strings.Contains(string(pb), "max_queue") {
 		t.Fatalf("plain healthz leaked verbose fields: %s", pb)
 	}
 
@@ -267,11 +325,11 @@ func TestServeVerboseHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Workers != 4 {
+	if h.Status != "ok" || h.Workers != 4 || h.InFlight != 0 {
 		t.Fatalf("verbose healthz base = %+v", h.healthBody)
 	}
-	if h.EffectiveLimit != 4 || h.MinWorkers != 2 || h.MaxQueue != 7 {
-		t.Fatalf("limiter view = limit %d min %d queue %d", h.EffectiveLimit, h.MinWorkers, h.MaxQueue)
+	if h.MaxQueue != 7 {
+		t.Fatalf("max_queue = %d, want 7", h.MaxQueue)
 	}
 	if h.AnalysisWorkers != 3 {
 		t.Fatalf("analysis_workers = %d, want 3", h.AnalysisWorkers)

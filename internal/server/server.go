@@ -12,33 +12,30 @@
 //	                       ?verbose=1 adds overload/queue/breaker detail
 //	GET  /metrics          Prometheus text exposition
 //
-// Every analysis runs on a bounded guard.Gate under the configured
-// per-request budgets with the engine's degradation semantics: a hostile
-// unit can exhaust its own budget or crash its own slot (surfacing as a
-// degraded result or a 4xx/5xx for that request), but it cannot take down
-// or starve the server. Identical concurrent requests are collapsed by the
-// cache's singleflight, so a thundering herd of one unit costs one
-// analysis.
-//
-// In front of the gate sits the overload layer (internal/overload): a
+// Every request passes the overload layer (internal/overload): a
 // per-client token-bucket rate limiter, then a bounded deadline-aware
-// admission queue whose effective width adapts between MinWorkers and
-// Workers as observed latency rises and falls. Requests that cannot be
-// served in time are shed early with 429/503, a Retry-After header and a
+// admission queue in front of Workers slots. Requests that cannot be served
+// in time are shed early with 429/503, a Retry-After header and a
 // machine-readable retry_after_ms, so a traffic burst degrades service for
-// the excess instead of for everyone. Disk faults in the persistent cache
-// tier trip a circuit breaker to memory-only mode rather than failing
-// requests.
+// the excess instead of for everyone. An admitted analysis runs under
+// panic isolation and the configured per-request budgets, with the engine's
+// degradation semantics: a hostile unit can exhaust its own budget or crash
+// its own request (surfacing as a degraded result or a 4xx/5xx for that
+// request), but it cannot take down or starve the server. Identical
+// concurrent requests are collapsed by the cache's singleflight, so a
+// thundering herd of one unit costs one analysis. Disk faults in the
+// persistent cache tier trip a circuit breaker to memory-only mode rather
+// than failing requests.
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -79,9 +76,6 @@ const (
 	MetricShedDraining    = metrics.MetricShedDraining
 	// MetricQueueDepth gauges requests waiting in the admission queue.
 	MetricQueueDepth = "pallas_queue_depth"
-	// MetricEffectiveLimit gauges the adaptive limiter's current effective
-	// concurrency (between MinWorkers and Workers).
-	MetricEffectiveLimit = "pallas_effective_limit"
 	// MetricBreakerState gauges the persistent cache tier's breaker:
 	// 0 closed, 1 half-open, 2 open.
 	MetricBreakerState = "pallas_cache_breaker_state"
@@ -118,18 +112,17 @@ type Config struct {
 	// keep the product near GOMAXPROCS. Responses are byte-identical at any
 	// worker count, so cache entries stay shared across settings.
 	Analyzer pallas.Config
-	// Workers bounds concurrent analyses (not connections); <= 0 means
-	// GOMAXPROCS. This is the adaptive limiter's ceiling.
+	// Workers is the admission width: how many requests (analyses, cluster
+	// units, peer cache reads) hold a slot at once, not connections; <= 0
+	// means GOMAXPROCS.
 	Workers int
-	// MinWorkers is the adaptive limiter's floor: under sustained latency
-	// inflation the effective concurrency shrinks toward it, and grows back
-	// to Workers on recovery. <= 0 means 1; set equal to Workers to disable
-	// adaptation.
+	// Deprecated: MinWorkers is ignored; admission runs at the fixed width
+	// Workers.
 	MinWorkers int
 	// MaxQueue bounds requests waiting for admission; beyond it requests
 	// are shed with 503. 0 means DefaultMaxQueue; negative disables
 	// queueing entirely (strict-latency mode: shed the moment every
-	// effective worker is busy).
+	// worker is busy).
 	MaxQueue int
 	// RatePerClient and RateBurst configure the per-client token bucket
 	// (requests/second, keyed by X-Pallas-Client or remote host). 0 rate
@@ -184,9 +177,7 @@ type Server struct {
 	analyzer *pallas.Analyzer
 	cache    *rcache.Cache
 	peers    *peer.Tier
-	gate     *guard.Gate
 	ctrl     *overload.Controller
-	limiter  *overload.Limiter
 	rate     *overload.RateLimiter
 	reg      *metrics.Registry
 	mux      *http.ServeMux
@@ -211,7 +202,6 @@ type Server struct {
 	mSumMismatch  *metrics.Counter
 	gInFlight     *metrics.Gauge
 	gQueueDepth   *metrics.Gauge
-	gEffLimit     *metrics.Gauge
 	gBreaker      *metrics.Gauge
 	hLatency      *metrics.Histogram
 }
@@ -242,12 +232,10 @@ func New(cfg Config) (*Server, error) {
 	} else if maxQueue < 0 {
 		maxQueue = 0
 	}
-	gate := guard.NewGate(cfg.Workers)
-	minWorkers := cfg.MinWorkers
-	if minWorkers <= 0 {
-		minWorkers = 1
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	limiter := overload.NewLimiter(minWorkers, gate.Cap())
 	// The shared cache tier exists unconditionally — with no peers it is
 	// inert (every op short-circuits to the local cache), which is also its
 	// degraded mode under a full partition, so the two paths stay one code
@@ -287,9 +275,7 @@ func New(cfg Config) (*Server, error) {
 		analyzer: analyzer,
 		cache:    cache,
 		peers:    tier,
-		gate:     gate,
-		ctrl:     overload.NewController(limiter, maxQueue, reg),
-		limiter:  limiter,
+		ctrl:     overload.NewController(workers, maxQueue, reg),
 		rate:     overload.NewRateLimiter(cfg.RatePerClient, cfg.RateBurst, cfg.GlobalRate, cfg.GlobalBurst, reg),
 		reg:      reg,
 		mux:      http.NewServeMux(),
@@ -308,11 +294,9 @@ func New(cfg Config) (*Server, error) {
 		mSumMismatch:  reg.Counter(MetricCacheSumMismatch, "cache entries failing their content checksum, recomputed"),
 		gInFlight:     reg.Gauge(MetricInFlight, "requests currently being served"),
 		gQueueDepth:   reg.Gauge(MetricQueueDepth, "requests waiting in the admission queue"),
-		gEffLimit:     reg.Gauge(MetricEffectiveLimit, "adaptive effective concurrency limit"),
 		gBreaker:      reg.Gauge(MetricBreakerState, "cache persistent-tier breaker: 0 closed, 1 half-open, 2 open"),
 		hLatency:      reg.Histogram(MetricRequestSeconds, "analyze latency in seconds", nil),
 	}
-	s.gEffLimit.Set(int64(limiter.Limit()))
 	s.mux.HandleFunc("/v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("/v1/report/", s.handleReport)
 	s.mux.HandleFunc("/v1/cluster/unit", s.handleClusterUnit)
@@ -342,8 +326,8 @@ func (s *Server) IncrStats() (incr.Stats, bool) { return s.analyzer.IncrStats() 
 // loop). The HTTP handler must not be used afterwards.
 func (s *Server) Close() { s.peers.Close() }
 
-// InFlight reports how many analyses currently hold a gate slot.
-func (s *Server) InFlight() int64 { return s.gate.InFlight() }
+// InFlight reports how many requests currently hold an admission slot.
+func (s *Server) InFlight() int { return s.ctrl.InFlight() }
 
 // StartDrain puts the server into draining mode: /healthz flips to 503 so
 // load balancers stop routing here, new analyze requests are refused with
@@ -462,10 +446,9 @@ func clientKey(r *http.Request) string {
 }
 
 // syncGauges refreshes the overload gauges after an admission event or on
-// scrape, so /metrics reflects the live queue and limiter state.
+// scrape, so /metrics reflects the live queue and breaker state.
 func (s *Server) syncGauges() {
 	s.gQueueDepth.Set(int64(s.ctrl.QueueDepth()))
-	s.gEffLimit.Set(int64(s.ctrl.EffectiveLimit()))
 	var state int64
 	switch s.cache.TierHealth() {
 	case "half-open":
@@ -517,7 +500,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: wait for an effective-limit slot, bounded by the request's
+	// Admission: wait for a slot, bounded by the request's
 	// deadline (max_wait_ms, else the server's -timeout). Shed early when
 	// the wait is hopeless.
 	var deadline time.Time
@@ -534,9 +517,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	admitted := time.Now()
 	defer func() {
-		// Service latency only (admission to completion): feeding queue wait
-		// into the limiter would make its own backlog look like downstream
-		// slowness and collapse the limit under transient bursts.
+		// Service latency only (admission to completion): queue wait would
+		// count the backlog twice in the next arrival's wait estimate.
 		s.ctrl.Release(time.Since(admitted))
 		s.syncGauges()
 	}()
@@ -545,7 +527,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	unit := pallas.Unit{Name: req.Name, Source: req.Source, Spec: req.Spec}
 	key := s.analyzer.CacheKey(unit)
 	entry, hit, err := s.cache.GetOrCompute(key, func() (*rcache.Entry, error) {
-		return s.analyzeOne(r.Context(), unit, key)
+		return s.computeUnit(unit, key, false)
 	})
 	if err != nil && errors.Is(err, rcache.ErrPersist) && entry != nil {
 		// The analysis succeeded and is memory-cached; only the disk tier
@@ -610,24 +592,15 @@ func (s *Server) shedForReason(w http.ResponseWriter, err error) {
 	}
 }
 
-// analyzeOne runs one real analysis on the gate — bounded concurrency,
-// panic isolation, per-request budgets — and packages it as a cache entry.
-// The request context flows into the gate acquisition: a client that
-// disconnects while queued for a slot releases its place immediately
-// instead of running an analysis nobody will read. withPaths additionally
-// marshals the unit's path database into the entry (cluster dispatches need
-// it for the merged pathdb; plain serve responses do not carry paths, so
-// they skip the cost).
-func (s *Server) analyzeOne(ctx context.Context, unit pallas.Unit, key string) (*rcache.Entry, error) {
-	return s.computeUnit(ctx, unit, key, false)
-}
-
 // computeUnit is the miss path behind the cache's singleflight: before
 // paying for a real analysis it asks the shared cache tier whether another
 // worker already has the entry (verified remote hit), and replicates what
 // it freshly produced to the key's ring owners. Every remote failure mode
-// degrades to the local analysis below it.
-func (s *Server) computeUnit(ctx context.Context, unit pallas.Unit, key string, withPaths bool) (*rcache.Entry, error) {
+// degrades to the local analysis below it. withPaths additionally marshals
+// the unit's path database into the entry (cluster dispatches need it for
+// the merged pathdb; plain serve responses do not carry paths, so they
+// skip the cost).
+func (s *Server) computeUnit(unit pallas.Unit, key string, withPaths bool) (*rcache.Entry, error) {
 	if e, ok := s.peers.FetchRemote(key); ok {
 		if !withPaths || len(e.Paths) > 0 {
 			return e, nil
@@ -635,7 +608,7 @@ func (s *Server) computeUnit(ctx context.Context, unit pallas.Unit, key string, 
 		// A path-less remote entry cannot serve a cluster dispatch; fall
 		// through to the analysis and let the richer entry win.
 	}
-	e, err := s.analyzeUnit(ctx, unit, key, withPaths)
+	e, err := s.analyzeUnit(unit, key, withPaths)
 	if err != nil {
 		return nil, err
 	}
@@ -643,15 +616,19 @@ func (s *Server) computeUnit(ctx context.Context, unit pallas.Unit, key string, 
 	return e, nil
 }
 
-func (s *Server) analyzeUnit(ctx context.Context, unit pallas.Unit, key string, withPaths bool) (*rcache.Entry, error) {
+// analyzeUnit runs one real analysis — panic-isolated, under the
+// per-request budgets — and packages it as a cache entry. Its caller holds
+// an admission slot, which is what bounds concurrent analyses.
+func (s *Server) analyzeUnit(unit pallas.Unit, key string, withPaths bool) (*rcache.Entry, error) {
 	var res *pallas.Result
 	var pb []byte
-	err := s.gate.DoContext(ctx, guard.StageServe, unit.Name, func() error {
+	err := guard.Protect(guard.StageServe, unit.Name, func() error {
 		var aerr error
 		res, aerr = s.analyzer.AnalyzeSource(unit.Name, unit.Source, unit.Spec)
 		if aerr == nil && withPaths {
-			// Inside the gate: a replayed verdict derives its paths on
-			// this first read, and that extraction is analysis work. A
+			// Inside the protected call: a replayed verdict derives its
+			// paths on this first read, and that extraction is analysis
+			// work. A
 			// failed derivation fails the unit rather than shipping an
 			// empty database as a clean result. MarshalJSON gives the
 			// bytes json.Marshal does, minus its re-validation pass over
@@ -725,13 +702,10 @@ type healthBody struct {
 // Health is the server's one snapshot: /healthz?verbose=1 encodes it as
 // JSON and `pallas serve -cache-stats` prints it as text. It carries
 // everything an orchestrator needs to tell "draining" (status) from
-// "overloaded" (queue depth at max, effective limit at the floor, sheds
-// climbing) from "degraded storage" (cache tier open).
+// "overloaded" (queue depth at max, sheds climbing) from "degraded storage" (cache tier open).
 type Health struct {
 	healthBody
 	QueueDepth      int                `json:"queue_depth"`
-	EffectiveLimit  int                `json:"effective_limit"`
-	MinWorkers      int                `json:"min_workers"`
 	AnalysisWorkers int                `json:"analysis_workers"`
 	MaxQueue        int                `json:"max_queue"`
 	Admitted        int64              `json:"admitted_total"`
@@ -777,9 +751,9 @@ func (s *Server) health() healthBody {
 	cs := s.cache.Stats()
 	return healthBody{
 		Status:        status,
-		InFlight:      s.gate.InFlight(),
+		InFlight:      int64(s.ctrl.InFlight()),
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
-		Workers:       s.gate.Cap(),
+		Workers:       s.ctrl.Width(),
 		CacheEntries:  cs.Entries,
 		CacheBytes:    cs.Bytes,
 	}
@@ -792,8 +766,6 @@ func (s *Server) Snapshot() Health {
 	body := Health{
 		healthBody:      s.health(),
 		QueueDepth:      s.ctrl.QueueDepth(),
-		EffectiveLimit:  s.ctrl.EffectiveLimit(),
-		MinWorkers:      s.limiter.Min(),
 		AnalysisWorkers: s.aworkers,
 		MaxQueue:        s.maxQ,
 		Admitted:        s.ctrl.Admitted(),

@@ -377,14 +377,8 @@ func TestServeGracefulDrain(t *testing.T) {
 		slow <- slowResult{code: resp.StatusCode, out: out}
 	}()
 
-	// Wait until the slow request holds a gate slot, then drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.gate.InFlight() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow request never reached the gate")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Wait until the slow request holds an admission slot, then drain.
+	waitFor(t, "slow request admitted", func() bool { return s.ctrl.InFlight() == 1 })
 	s.StartDrain()
 
 	// New work is refused while the old request is still running.
@@ -416,6 +410,35 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	if err := <-served; err != http.ErrServerClosed {
 		t.Fatalf("serve returned %v", err)
+	}
+}
+
+// TestServePanicIsolated: an analysis that panics answers its own request
+// with 500 "analysis crashed", gives its admission slot back, and leaves the
+// server serving the next request.
+func TestServePanicIsolated(t *testing.T) {
+	if err := failpoint.Arm("pre-parse=panic/boom.c"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disarm()
+
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, raw := postWithClient(t, ts.URL, "", AnalyzeRequest{Name: "boom.c", Source: testSource, Spec: testSpec})
+	var eb errorBody
+	if err := json.Unmarshal(raw, &eb); err != nil {
+		t.Fatalf("crash body not JSON: %s", raw)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.HasPrefix(eb.Error, "analysis crashed") {
+		t.Fatalf("panicking request: status %d, body %+v; want 500 analysis crashed", resp.StatusCode, eb)
+	}
+	if next, out := postAnalyze(t, ts.URL, AnalyzeRequest{Name: "ok.c", Source: testSource, Spec: testSpec}); next.StatusCode != http.StatusOK || out.Warnings == 0 {
+		t.Fatalf("request after the panic: status %d, %+v; want 200 with warnings", next.StatusCode, out)
+	}
+	if got := s.ctrl.InFlight(); got != 0 {
+		t.Fatalf("in-flight = %d after both requests, want 0", got)
 	}
 }
 

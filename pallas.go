@@ -334,7 +334,7 @@ func (a *Analyzer) AnalyzeSource(name, src, specText string) (*Result, error) {
 		return merr
 	})
 	if err != nil && !tolerate(guard.StagePreprocess, err) {
-		return nil, fmt.Errorf("pallas: preprocess %s: %w", name, err)
+		return nil, fmt.Errorf("preprocess %s: %w", name, err)
 	}
 
 	var tu *cast.TranslationUnit
@@ -344,7 +344,7 @@ func (a *Analyzer) AnalyzeSource(name, src, specText string) (*Result, error) {
 		return perr
 	})
 	if err != nil && !tolerate(guard.StageParse, err) {
-		return nil, fmt.Errorf("pallas: parse %s: %w", name, err)
+		return nil, fmt.Errorf("parse %s: %w", name, err)
 	}
 	if tu == nil {
 		// The parser crashed before producing even a partial unit; keep the
@@ -355,13 +355,13 @@ func (a *Analyzer) AnalyzeSource(name, src, specText string) (*Result, error) {
 	sp, err := spec.Parse(specText)
 	if err != nil {
 		if !tolerate(guard.StageSpec, err) {
-			return nil, fmt.Errorf("pallas: spec: %w", err)
+			return nil, fmt.Errorf("spec: %w", err)
 		}
 		sp, _ = spec.Parse("")
 	}
 	anno, err := spec.FromAnnotations(tu)
 	if err != nil && !tolerate(guard.StageSpec, err) {
-		return nil, fmt.Errorf("pallas: annotations: %w", err)
+		return nil, fmt.Errorf("annotations: %w", err)
 	}
 	if anno != nil {
 		sp.Merge(anno)
@@ -380,13 +380,13 @@ func (a *Analyzer) analyze(tu *cast.TranslationUnit, sp *spec.Spec, merged strin
 	for _, n := range a.cfg.Checkers {
 		c := checkers.ByName(n)
 		if c == nil {
-			return nil, fmt.Errorf("pallas: unknown checker %q (have %v)", n, CheckerNames())
+			return nil, fmt.Errorf("unknown checker %q (have %v)", n, CheckerNames())
 		}
 		selected = append(selected, c)
 	}
 	tier, terr := feas.ParseTier(a.cfg.Precision)
 	if terr != nil {
-		return nil, fmt.Errorf("pallas: %w", terr)
+		return nil, terr
 	}
 	// Incremental memo: fingerprint the unit over its dependency DAG, replay
 	// the whole verdict when nothing changed, otherwise seed extraction with
@@ -421,7 +421,7 @@ func (a *Analyzer) analyze(tu *cast.TranslationUnit, sp *spec.Spec, merged strin
 	} else {
 		ctx, err = checkers.NewContext(tu, sp, pcfg)
 		if err != nil {
-			return nil, fmt.Errorf("pallas: %w", err)
+			return nil, err
 		}
 	}
 	rep := checkers.Run(ctx, selected...)
@@ -482,7 +482,7 @@ func (r *Result) ComparePaths(fast, slow string) (*Diff, error) {
 	ff := r.tu.Func(fast)
 	sf := r.tu.Func(slow)
 	if ff == nil || sf == nil {
-		return nil, fmt.Errorf("pallas: compare: function not found (fast=%v slow=%v)", ff != nil, sf != nil)
+		return nil, fmt.Errorf("compare: function not found (fast=%v slow=%v)", ff != nil, sf != nil)
 	}
 	return difftool.Compare(r.tu, ff, sf), nil
 }
@@ -492,7 +492,7 @@ func (r *Result) ComparePaths(fast, slow string) (*Diff, error) {
 func (r *Result) RenderWorkflow(fn string) (string, error) {
 	f := r.tu.Func(fn)
 	if f == nil {
-		return "", fmt.Errorf("pallas: no function %q", fn)
+		return "", fmt.Errorf("no function %q", fn)
 	}
 	g, err := cfg.Build(f)
 	if err != nil {
@@ -515,7 +515,7 @@ func (r *Result) InferSpec(fast, slow string) ([]Suggestion, error) {
 func (a *Analyzer) ExtractPaths(name, src, fn string) (*FuncPaths, error) {
 	tier, err := feas.ParseTier(a.cfg.Precision)
 	if err != nil {
-		return nil, fmt.Errorf("pallas: %w", err)
+		return nil, err
 	}
 	pp := cpp.New(a.source())
 	merged, err := pp.MergeText(name, src)
